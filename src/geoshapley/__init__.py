@@ -39,7 +39,6 @@ from .errors import (
 )
 from .games import (
     GAME_KINDS,
-    REQUIRED_FLAGS,
     CharacteristicFunction,
     ShapleyVector,
     eval_characteristic,
@@ -51,7 +50,6 @@ from .games import (
 )
 from .geometry import (
     Disk,
-    GeneralPositionReport,
     Isometry,
     PointSet,
     convex_hull,
@@ -59,7 +57,6 @@ from .geometry import (
     hull_perimeter,
     min_enclosing_disk,
     reflect_to_positive_quadrant,
-    validate_general_position,
 )
 from .hull import (
     all_pair_levels,

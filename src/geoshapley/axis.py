@@ -92,12 +92,11 @@ class GridArrangement:
         pts = geometry.as_points(points)
         if np.any(pts < 0):
             raise DomainError("grid points must lie in the closed positive quadrant")
+        geometry.check_distinct_coords(pts)
         n = pts.shape[0]
         order = np.argsort(pts[:, 0], kind="stable")
         xs = pts[order, 0]
         ys_sorted = np.sort(pts[:, 1], kind="stable")
-        if np.any(np.diff(xs) == 0.0) or np.any(np.diff(ys_sorted) == 0.0):
-            raise GeneralPositionError("two points share an x or y coordinate")
         self.n = n
         self.x = np.concatenate([[0.0], xs])
         self.y = np.concatenate([[0.0], ys_sorted])
@@ -834,7 +833,8 @@ def shapley_anchored_rects(points, method="fast", direct_series=False):
     """Shapley values of the anchored-rectangles game.
 
     The game splits across quadrants (each quadrant is reflected to the
-    positive one).  ``method``: "fast" detects chains and uses the
+    positive one), so only points in the same quadrant must have distinct
+    coordinates.  ``method``: "fast" detects chains and uses the
     near-linear chain solvers, falling back to the sqrt-band engine;
     "general" forces the band engine; "quadratic" runs the per-cell
     baseline.
@@ -844,7 +844,12 @@ def shapley_anchored_rects(points, method="fast", direct_series=False):
     pts = geometry.as_points(points)
     values = np.zeros(pts.shape[0])
     for sel, sub in _split_quadrants(pts):
-        values[sel] = _solve_quadrant_ar(sub, method, direct_series)
+        try:
+            values[sel] = _solve_quadrant_ar(sub, method, direct_series)
+        except GeneralPositionError as exc:
+            raise GeneralPositionError(
+                str(exc), offending=[tuple(int(sel[k]) for k in t) for t in exc.offending]
+            ) from None
     from .games import eval_characteristic
 
     total = eval_characteristic("anchored-rects", pts)
@@ -921,11 +926,10 @@ def shapley_bbox(points, method="fast", direct_series=False):
     if method not in ("fast", "general", "quadratic"):
         raise DomainError("method must be 'fast', 'general' or 'quadratic'")
     pts = geometry.as_points(points)
+    geometry.check_distinct_coords(pts)
     n = pts.shape[0]
     x = pts[:, 0]
     y = pts[:, 1]
-    if len(np.unique(x)) < n or len(np.unique(y)) < n:
-        raise GeneralPositionError("two points share an x or y coordinate")
     total = float((x.max() - x.min()) * (y.max() - y.min()))
     if n == 1:
         return ShapleyVector(np.zeros(1), 0.0, "bbox-area")

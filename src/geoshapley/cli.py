@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import hull
 from .dispatch import ALGORITHM_NAMES, algorithms_for, solver_for
 from .errors import (
     ConsistencyError,
@@ -24,8 +22,7 @@ from .errors import (
     GeneralPositionError,
     SizeLimitError,
 )
-from .games import GAME_KINDS, REQUIRED_FLAGS
-from .geometry import validate_general_position
+from .games import GAME_KINDS
 from .instances import random_chain, random_instance, verification_suite
 from .oracle import PERMUTATION_LIMIT
 
@@ -47,9 +44,6 @@ class RunConfig:
     input_path: str = "-"
     output_path: str = "-"
     output_format: str = "json"
-    tolerance: float = 1e-9
-    seed: int = 0
-    threads: int = 1
     timing: bool = True
     direct_series: bool = False
 
@@ -174,23 +168,8 @@ def _write(path, text):
             fh.write(text)
 
 
-def _validate_for_game(game, pts):
-    flags = REQUIRED_FLAGS[game]
-    if not flags:
-        return
-    report = validate_general_position(pts, required=flags)
-    if not report.ok(flags):
-        detail = "; ".join(
-            f"{name}: offending {tuples}" for name, tuples in report.offending.items()
-        )
-        raise GeneralPositionError(
-            f"input violates general position required by {game}: {detail}"
-        )
-
-
 def cmd_compute(cfg: RunConfig):
     pts = read_points(cfg.input_path)
-    _validate_for_game(cfg.game, pts)
     solver = solver_for(cfg.game, cfg.algorithm, direct_series=cfg.direct_series)
     t0 = time.perf_counter()
     sv = solver(pts)
@@ -225,39 +204,34 @@ def _reference_algorithm(game, n):
 def cmd_verify(args):
     games_list = _games_from_arg(args.games)
     rng = np.random.default_rng(args.seed)
-    if args.inject_fault:
-        hull._FAULT_SCALE = 1.0 + 1e-6
     failed = []
     lines = []
-    try:
-        for game in games_list:
-            worst = {}
-            for n in range(args.nmin, args.nmax + 1):
-                instances = verification_suite(game, rng, n, args.instances)
-                if args.chains and game in ("anchored-rects", "bbox-area", "anchored-bbox-area"):
-                    instances = [
-                        random_chain(rng, n, increasing=bool(k % 2))
-                        for k in range(args.instances)
-                    ]
-                for pts in instances:
-                    ref_name = _reference_algorithm(game, n)
-                    algos = [a for a in algorithms_for(game, n) if a != ref_name]
-                    if ref_name is None:
-                        continue
-                    ref = solver_for(game, ref_name)(pts).values
-                    scale = np.maximum(np.abs(ref), 1e-3)
-                    for algo in algos:
-                        got = solver_for(game, algo)(pts).values
-                        diff = float(np.max(np.abs(got - ref) / scale))
-                        key = (game, algo)
-                        worst[key] = max(worst.get(key, 0.0), diff)
-            for (g, algo), diff in sorted(worst.items()):
-                status = "PASS" if diff <= args.tolerance else "FAIL"
-                if status == "FAIL":
-                    failed.append((g, algo, diff))
-                lines.append(f"{g} {algo} max_discrepancy={diff:.3e} {status}")
-    finally:
-        hull._FAULT_SCALE = 1.0
+    for game in games_list:
+        worst = {}
+        for n in range(args.nmin, args.nmax + 1):
+            instances = verification_suite(game, rng, n, args.instances)
+            if args.chains and game in ("anchored-rects", "bbox-area", "anchored-bbox-area"):
+                instances = [
+                    random_chain(rng, n, increasing=bool(k % 2))
+                    for k in range(args.instances)
+                ]
+            for pts in instances:
+                ref_name = _reference_algorithm(game, n)
+                algos = [a for a in algorithms_for(game, n) if a != ref_name]
+                if ref_name is None:
+                    continue
+                ref = solver_for(game, ref_name)(pts).values
+                scale = np.maximum(np.abs(ref), 1e-3)
+                for algo in algos:
+                    got = solver_for(game, algo)(pts).values
+                    diff = float(np.max(np.abs(got - ref) / scale))
+                    key = (game, algo)
+                    worst[key] = max(worst.get(key, 0.0), diff)
+        for (g, algo), diff in sorted(worst.items()):
+            status = "PASS" if diff <= args.tolerance else "FAIL"
+            if status == "FAIL":
+                failed.append((g, algo, diff))
+            lines.append(f"{g} {algo} max_discrepancy={diff:.3e} {status}")
     report = "\n".join(lines)
     print(report)
     if failed:
@@ -325,16 +299,6 @@ def _games_from_arg(arg):
     return out
 
 
-def _threads_from(args):
-    env = os.environ.get("GEOSHAPLEY_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParseError(f"bad GEOSHAPLEY_THREADS value {env!r}")
-    return max(1, args.threads)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="geoshapley",
@@ -348,9 +312,6 @@ def build_parser():
     pc.add_argument("--input", default="-", help="CSV or JSON point file ('-' = stdin)")
     pc.add_argument("--output", default="-", help="output path ('-' = stdout)")
     pc.add_argument("--format", default="json", choices=("json", "csv"))
-    pc.add_argument("--tolerance", type=float, default=1e-9)
-    pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--threads", type=int, default=1)
     pc.add_argument(
         "--no-timing",
         action="store_true",
@@ -370,8 +331,6 @@ def build_parser():
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--tolerance", type=float, default=1e-9)
     pv.add_argument("--chains", action="store_true", help="chain instances only")
-    pv.add_argument("--threads", type=int, default=1)
-    pv.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     pb = sub.add_parser("bench", help="timing table over a doubling series")
     pb.add_argument("--games", default="anchored-rects")
@@ -380,7 +339,6 @@ def build_parser():
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--chain", action="store_true", help="benchmark chain instances")
     pb.add_argument("--output", default="-")
-    pb.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -395,17 +353,12 @@ def main(argv=None):
                 input_path=args.input,
                 output_path=args.output,
                 output_format=args.format,
-                tolerance=args.tolerance,
-                seed=args.seed,
-                threads=_threads_from(args),
                 timing=not args.no_timing,
                 direct_series=args.direct_eval,
             )
             return cmd_compute(cfg)
         if args.command == "verify":
-            args.threads = _threads_from(args)
             return cmd_verify(args)
-        args.threads = _threads_from(args)
         return cmd_bench(args)
     except SizeLimitError as exc:
         print(f"error (size guard): {exc}", file=sys.stderr)

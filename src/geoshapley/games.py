@@ -30,23 +30,6 @@ GAME_KINDS = (
     "anchored-bbox-perimeter",
 )
 
-#: General-position properties each game's fast engine relies on.
-REQUIRED_FLAGS = {
-    "hull-area": ("no_three_collinear",),
-    "hull-perimeter": ("no_three_collinear",),
-    "disk-area": ("no_four_cocircular", "no_diametral_conflict"),
-    "disk-perimeter": ("no_four_cocircular", "no_diametral_conflict"),
-    "anchored-rects": ("distinct_coords",),
-    "bbox-area": ("distinct_coords",),
-    "anchored-bbox-area": ("distinct_coords",),
-    "airport": (),
-    "interval-length": (),
-    "area-band": (),
-    "bbox-perimeter": (),
-    "anchored-bbox-perimeter": (),
-}
-
-
 @dataclass
 class ShapleyVector:
     """Per-player allocation, aligned with the input point order."""

@@ -1,15 +1,24 @@
 """Geometric primitives shared by every engine.
 
-Points are plain ``(n, 2)`` float arrays.  All predicates are evaluated in
+Points are plain ``(n, 2)`` float arrays.  Predicates are evaluated in
 floating point with a documented degeneracy threshold: a determinant whose
 magnitude falls below ``DEGENERACY_TOL`` times the input magnitude scale is
-classified as degenerate and reported, never silently perturbed.
+classified as degenerate, never silently perturbed.
+
+There is no separate general-position pass.  Each engine checks the
+assumptions its own algorithm needs, where it needs them, and raises
+``GeneralPositionError`` with the offending input-index tuples: the hull
+engine rejects (near-)collinear triples, the disk engine rejects points on
+the diametral circle of a pair and cocircular ties that involve a basis
+triple, and the axis engines reject shared coordinates
+(``check_distinct_coords``).  The brute-force oracles accept degenerate
+input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +82,21 @@ def _duplicate_point_pair(pts):
     return None
 
 
+def check_distinct_coords(pts):
+    """Reject points that share an x or a y coordinate.
+
+    The offending pairs are the tied neighbours of a stable sort along
+    each axis, x ties first, each pair in increasing index order.
+    """
+    bad = []
+    for axis in (0, 1):
+        order = np.argsort(pts[:, axis], kind="stable")
+        vals = pts[order, axis]
+        bad += [(int(order[k]), int(order[k + 1])) for k in np.nonzero(vals[1:] == vals[:-1])[0]]
+    if bad:
+        raise GeneralPositionError("two points share an x or y coordinate", offending=bad)
+
+
 def orientation(a, b, c):
     """Sign of the signed area of triangle abc: +1 ccw, -1 cw, 0 degenerate.
 
@@ -95,172 +119,6 @@ def orientation(a, b, c):
 def signed_area(a, b, c):
     """Signed area of triangle abc (positive when ccw)."""
     return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-
-
-@dataclass
-class GeneralPositionReport:
-    """Outcome of the general-position checks.
-
-    Each flag is True iff the property holds; a False flag always comes
-    with at least one offending index tuple.  Flags that were not
-    requested are left as None.
-    """
-
-    distinct_coords: bool | None = None
-    no_three_collinear: bool | None = None
-    no_four_cocircular: bool | None = None
-    no_diametral_conflict: bool | None = None
-    offending: dict = field(default_factory=dict)
-
-    def ok(self, flags=None):
-        values = (
-            [getattr(self, f) for f in flags]
-            if flags is not None
-            else [
-                self.distinct_coords,
-                self.no_three_collinear,
-                self.no_four_cocircular,
-                self.no_diametral_conflict,
-            ]
-        )
-        return all(v is not False for v in values)
-
-
-ALL_FLAGS = (
-    "distinct_coords",
-    "no_three_collinear",
-    "no_four_cocircular",
-    "no_diametral_conflict",
-)
-
-
-def validate_general_position(points, required=ALL_FLAGS):
-    """Evaluate the requested general-position properties of the input.
-
-    Violations are reported (flag False plus offending index tuples), not
-    raised; callers decide whether to abort.
-    """
-    pts = as_points(points)
-    n = pts.shape[0]
-    report = GeneralPositionReport()
-    required = set(required)
-
-    if "distinct_coords" in required:
-        bad = []
-        for axis in (0, 1):
-            order = np.argsort(pts[:, axis], kind="stable")
-            vals = pts[order, axis]
-            for k in np.nonzero(vals[1:] == vals[:-1])[0]:
-                bad.append((int(order[k]), int(order[k + 1])))
-        report.distinct_coords = not bad
-        if bad:
-            report.offending["distinct_coords"] = bad
-
-    if "no_three_collinear" in required:
-        bad = _collinear_triples(pts)
-        report.no_three_collinear = not bad
-        if bad:
-            report.offending["no_three_collinear"] = bad
-
-    if "no_four_cocircular" in required:
-        bad = _cocircular_quadruples(pts)
-        report.no_four_cocircular = not bad
-        if bad:
-            report.offending["no_four_cocircular"] = bad
-
-    if "no_diametral_conflict" in required:
-        bad = _diametral_conflicts(pts)
-        report.no_diametral_conflict = not bad
-        if bad:
-            report.offending["no_diametral_conflict"] = bad
-
-    return report
-
-
-def _collinear_triples(pts, limit=16):
-    """Collinear triples found by duplicate directions around each point."""
-    n = pts.shape[0]
-    bad = []
-    for i in range(n):
-        if n < 3:
-            break
-        d = np.delete(pts, i, axis=0) - pts[i]
-        idx = np.delete(np.arange(n), i)
-        # Directions mod pi: collinear with pts[i] iff equal direction mod pi.
-        ang = np.arctan2(d[:, 1], d[:, 0]) % math.pi
-        order = np.argsort(ang, kind="stable")
-        for k in range(len(order) - 1):
-            a, b = idx[order[k]], idx[order[k + 1]]
-            if orientation(pts[i], pts[a], pts[b]) == 0:
-                bad.append(tuple(sorted((i, int(a), int(b)))))
-                if len(bad) >= limit:
-                    return sorted(set(bad))
-    return sorted(set(bad))
-
-
-def in_circle_degenerate(a, b, c, d):
-    """True when d is within predicate tolerance of the circle through a, b, c."""
-    rows = []
-    for p in (a, b, c):
-        dx, dy = p[0] - d[0], p[1] - d[1]
-        rows.append((dx, dy, dx * dx + dy * dy))
-    det = math.fsum(
-        [
-            rows[0][0] * rows[1][1] * rows[2][2],
-            rows[0][1] * rows[1][2] * rows[2][0],
-            rows[0][2] * rows[1][0] * rows[2][1],
-            -rows[0][2] * rows[1][1] * rows[2][0],
-            -rows[0][1] * rows[1][0] * rows[2][2],
-            -rows[0][0] * rows[1][2] * rows[2][1],
-        ]
-    )
-    mag = max(abs(v) for row in rows for v in row[:2])
-    return abs(det) <= DEGENERACY_TOL * max(1.0, mag**4)
-
-
-def _cocircular_quadruples(pts, limit=16):
-    """Cocircular quadruples: bisector-sweep parameter ties confirmed by
-    the in-circle determinant."""
-    n = pts.shape[0]
-    bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            t, g, _ = _pencil_parameters(pts, i, j)
-            mask = np.isfinite(t) & (g != 0.0)
-            idx = np.delete(np.arange(n), [i, j])[mask]
-            tv = t[mask]
-            order = np.argsort(tv, kind="stable")
-            tv = tv[order]
-            idx = idx[order]
-            if tv.size < 2:
-                continue
-            scale = np.maximum(1.0, np.maximum(np.abs(tv[1:]), np.abs(tv[:-1])))
-            close = np.nonzero(np.abs(np.diff(tv)) <= 1e6 * DEGENERACY_TOL * scale)[0]
-            for k in close:
-                if in_circle_degenerate(pts[i], pts[j], pts[idx[k]], pts[idx[k + 1]]):
-                    bad.append(tuple(sorted((i, j, int(idx[k]), int(idx[k + 1])))))
-                    if len(bad) >= limit:
-                        return sorted(set(bad))
-    return sorted(set(bad))
-
-
-def _diametral_conflicts(pts, limit=16):
-    """Triples with a point exactly on the diametral circle of a pair."""
-    n = pts.shape[0]
-    bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = 0.5 * (pts[i] + pts[j])
-            r2 = 0.25 * np.sum((pts[i] - pts[j]) ** 2)
-            d2 = np.sum((pts - m) ** 2, axis=1)
-            tol = DEGENERACY_TOL * max(1.0, r2)
-            hits = np.nonzero(np.abs(d2 - r2) <= tol)[0]
-            for k in hits:
-                if k != i and k != j:
-                    bad.append(tuple(sorted((i, j, int(k)))))
-                    if len(bad) >= limit:
-                        return sorted(set(bad))
-    return sorted(set(bad))
 
 
 def _pencil_parameters(pts, i, j):

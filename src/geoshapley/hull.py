@@ -23,17 +23,13 @@ from .games import ShapleyVector
 
 _ANGLE_TOL = 1e-12
 
-# Test hook used by the verification harness: scales one rho weight so a
-# deliberate fault is observable end to end.  Never set in normal use.
-_FAULT_SCALE = 1.0
-
 
 def rho(level):
     """Probability that a fixed triangle p-q-q' realizes the hull delta:
     2 / ((level+2)(level+1)level).  Requires level >= 1."""
     if level < 1:
         raise DomainError("rho requires level >= 1")
-    return 2.0 / ((level + 2.0) * (level + 1.0) * level) * _FAULT_SCALE
+    return 2.0 / ((level + 2.0) * (level + 1.0) * level)
 
 
 def rho_prime(level):
@@ -50,7 +46,7 @@ def _rho_array(levels):
     pos = lv >= 1
     lvp = lv[pos]
     out[pos] = 2.0 / ((lvp + 2.0) * (lvp + 1.0) * lvp)
-    return out * _FAULT_SCALE
+    return out
 
 
 def _rho_prime_array(levels):
@@ -76,7 +72,7 @@ class _AngularView:
         self.idx = self.others[order]
         self.theta = theta[order]
         self.d = d[order]
-        self._check_general_position(pts)
+        self._check_general_position()
         self.t2 = np.concatenate([self.theta, self.theta + 2.0 * math.pi])
         # Antipode split: elements of the doubled array strictly inside
         # (theta_k, theta_k + pi) occupy indices (k, hi_k); the complementary
@@ -85,23 +81,22 @@ class _AngularView:
         # never swallows its own doubled copy.
         self.hi = np.searchsorted(self.t2, self.theta + math.pi, side="left")
 
-    def _check_general_position(self, pts):
+    def _check_general_position(self):
         if self.m < 2:
             return
         mod = np.sort(np.mod(self.theta, math.pi))
         gaps = np.diff(mod)
         wrap = math.pi - (mod[-1] - mod[0])
         if np.any(gaps < _ANGLE_TOL) or wrap < _ANGLE_TOL:
-            # Localize one offending triple for the report.
+            # Report the adjacent pair of directions with the smallest gap
+            # (mod pi, the wrap gap joining the last direction to the first).
             order = np.argsort(np.mod(self.theta, math.pi), kind="stable")
-            cand = np.concatenate([order, order[:1]])
-            for a, b in zip(cand[:-1], cand[1:]):
-                if geometry.orientation(pts[self.r], pts[self.idx[a]], pts[self.idx[b]]) == 0:
-                    raise GeneralPositionError(
-                        "three points are collinear",
-                        offending=[tuple(sorted((self.r, int(self.idx[a]), int(self.idx[b]))))],
-                    )
-            raise GeneralPositionError("near-collinear triple around point %d" % self.r)
+            k = int(np.argmin(np.append(gaps, wrap)))
+            a, b = self.idx[order[k]], self.idx[order[(k + 1) % self.m]]
+            raise GeneralPositionError(
+                "three points are collinear or nearly so",
+                offending=[tuple(sorted((self.r, int(a), int(b))))],
+            )
 
     def window_counts(self):
         """level(r, s) for every other point s: the number of points with

@@ -28,3 +28,8 @@ def random_points(rng, n, low=0.1, high=10.0):
 
 def random_plane_points(rng, n, span=10.0):
     return rng.uniform(-span, span, size=(n, 2))
+
+
+def on_circle(angles, radius=5.0):
+    """Points at the given angles on a circle about the origin."""
+    return [(radius * np.cos(t), radius * np.sin(t)) for t in angles]

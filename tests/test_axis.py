@@ -47,8 +47,9 @@ class TestGridArrangement:
         assert_close(g.h[1:], [1, 2])
 
     def test_tie_rejected(self):
-        with pytest.raises(GeneralPositionError):
-            GridArrangement([(1, 1), (1, 2)])
+        with pytest.raises(GeneralPositionError) as exc:
+            GridArrangement([(1, 1), (2, 1), (1, 3)])
+        assert exc.value.offending == ((0, 2), (0, 1))
 
     def test_dominance_counts_single_point(self):
         g = GridArrangement([(1, 1)])
@@ -364,8 +365,9 @@ class TestBBox:
             assert_close(sv.values, o.values, rel=1e-9)
 
     def test_tie_rejected(self):
-        with pytest.raises(GeneralPositionError):
+        with pytest.raises(GeneralPositionError) as exc:
             shapley_bbox([(0, 0), (0, 1), (1, 2)])
+        assert exc.value.offending == ((0, 1),)
 
     def test_chain_routing_matches_quadratic(self, rng):
         ch = make_chain(rng, 300, inc=False) * np.array([1.0, -1.0])
@@ -383,3 +385,11 @@ class TestBBox:
             pts = rng.uniform(-5, 5, (n, 2))
             sv = shapley_bbox(pts)
             assert np.all(sv.values >= -1e-12)
+
+
+class TestGeneralPosition:
+    def test_shared_x_coordinate(self):
+        for solver in (shapley_anchored_rects, shapley_anchored_bbox, shapley_bbox):
+            with pytest.raises(GeneralPositionError) as exc:
+                solver([(1, 2), (1, 3), (2, 5)])
+            assert exc.value.offending == ((0, 1),), solver.__name__

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from geoshapley import hull
 from geoshapley.cli import main, read_points
+from geoshapley.games import GAME_KINDS
 
-from conftest import assert_close
+from conftest import assert_close, on_circle
 
 
 def run(capsys, *argv):
@@ -119,14 +121,13 @@ class TestCompute:
         again = read_points(str(out_path))
         assert np.array_equal(again, pts)
 
-    def test_deterministic_output_across_threads(self, tmp_path, capsys, monkeypatch):
+    def test_deterministic_output_across_threads(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         rng = np.random.default_rng(5)
         src.write_text("\n".join(f"{float(x)!r},{float(y)!r}" for x, y in rng.uniform(0.1, 9, (40, 2))))
         outs = []
-        for threads in ("1", "4", "1"):
-            monkeypatch.setenv("GEOSHAPLEY_THREADS", threads)
-            out_path = tmp_path / f"out{threads}.json"
+        for run_id in range(3):
+            out_path = tmp_path / f"out{run_id}.json"
             code, _, _ = run(
                 capsys,
                 "compute",
@@ -170,6 +171,83 @@ class TestCompute:
         assert json.loads(out)["n"] == 2
 
 
+def _write_points(path, pts):
+    path.write_text("\n".join(f"{float(x)!r},{float(y)!r}" for x, y in pts))
+    return str(path)
+
+
+# Degenerate inputs, each with the input-index tuple its game's engine names.
+DEGENERATE = [
+    ("hull-area", [(0, 0), (1, 1), (2, 2), (3, 0.5)], (0, 1, 2)),
+    ("hull-perimeter", [(0, 0), (1000, 0), (2000, 1.5e-9), (500, 700)], (0, 1, 2)),
+    ("disk-area", [(0, 0), (2, 0), (1, 1)], (0, 1, 2)),
+    ("disk-perimeter", on_circle([0.3, 1.4, 2.9, 4.4]), (0, 1, 2, 3)),
+    # The tie sits in the south-east quadrant, solved after the others.
+    ("anchored-rects", [(-1, 2), (2, 1), (3, -4), (5, -4)], (2, 3)),
+    ("anchored-bbox-area", [(1, 2), (1, 3), (2, 5)], (0, 1)),
+    ("bbox-area", [(2, 1), (3, 4), (5, 1)], (0, 2)),
+]
+
+
+class TestGeneralPosition:
+    """Each engine's own check rejects degenerate input with exit 2 and the
+    offending input-index tuples."""
+
+    @pytest.mark.parametrize(
+        "game, pts, offending", DEGENERATE, ids=[row[0] for row in DEGENERATE]
+    )
+    def test_degenerate_input_exit_2(self, tmp_path, capsys, game, pts, offending):
+        path = _write_points(tmp_path / "in.csv", pts)
+        code, _, err = run(capsys, "compute", "--game", game, "--input", path)
+        assert code == 2
+        assert "general position" in err
+        assert f"offending=[{offending!r}]" in err
+
+    def test_generic_triangle_passes_all(self, tmp_path, capsys):
+        path = _write_points(tmp_path / "in.csv", [(0.1, 0.2), (1.3, 0.5), (0.4, 1.7)])
+        for game in GAME_KINDS:
+            code, _, err = run(capsys, "compute", "--game", game, "--input", path)
+            assert code == 0, (game, err)
+
+    def test_axis_aligned_right_triangle_flags(self, tmp_path, capsys):
+        # Shares coordinates and its circumcircle has an input-pair diameter,
+        # but no three points are collinear.
+        path = _write_points(tmp_path / "in.csv", [(0, 0), (1, 0), (0, 1)])
+        expected = {
+            "hull-area": (0, ""),
+            "disk-area": (2, "offending=[(0, 1, 2)]"),
+            "bbox-area": (2, "offending=[(0, 2), (0, 1)]"),
+        }
+        for game, (want_code, want_err) in expected.items():
+            code, _, err = run(capsys, "compute", "--game", game, "--input", path)
+            assert code == want_code and want_err in err, (game, err)
+
+    @pytest.mark.parametrize(
+        "game, pts",
+        [
+            # Four points on a short arc: every triple among them is obtuse,
+            # so their cocircular ties never touch a basis.
+            (
+                "disk-area",
+                on_circle([0.1, 0.2, 0.35, 0.5]) + [(-3.1, 0.7), (1.2, -4.4), (-0.6, -2.3)],
+            ),
+            # Points 0 and 1 share x = 1 but lie in different quadrants.
+            ("anchored-rects", [(1, 2), (1, -3), (4, 5), (-2, 0.5)]),
+        ],
+        ids=["disk-area-short-arc", "anchored-rects-split-tie"],
+    )
+    def test_no_longer_rejected(self, tmp_path, capsys, game, pts):
+        path = _write_points(tmp_path / "in.csv", pts)
+        values = []
+        for algorithm in ("auto", "oracle-perm"):
+            code, out, err = run(
+                capsys, "compute", "--game", game, "--algorithm", algorithm, "--input", path
+            )
+            assert code == 0, err
+            values.append([v["shapley"] for v in json.loads(out)["values"]])
+        assert_close(values[0], values[1], rel=1e-9)
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(
@@ -187,7 +265,9 @@ class TestVerify:
         assert code == 0
         assert "VERIFY PASSED" in out
 
-    def test_injected_fault_fails_with_named_game(self, capsys):
+    def test_injected_fault_fails_with_named_game(self, capsys, monkeypatch):
+        rho_array = hull._rho_array
+        monkeypatch.setattr(hull, "_rho_array", lambda levels: rho_array(levels) * (1.0 + 1e-6))
         code, out, _ = run(
             capsys,
             "verify",
@@ -199,7 +279,6 @@ class TestVerify:
             "5",
             "--instances",
             "3",
-            "--inject-fault",
         )
         assert code == 4
         assert "VERIFY FAILED" in out and "hull-area" in out

@@ -15,7 +15,7 @@ from geoshapley.geometry import min_enclosing_disk
 from geoshapley.oracle import shapley_by_subsets
 from geoshapley.permcount import prob_sandwich
 
-from conftest import assert_close, random_plane_points
+from conftest import assert_close, on_circle, random_plane_points
 
 
 def brute_bases(pts):
@@ -157,3 +157,20 @@ class TestShapleyDisk:
     def test_bad_measure(self):
         with pytest.raises(DomainError):
             shapley_disk([(0, 0), (1, 1)], "volume")
+
+
+class TestGeneralPosition:
+    @pytest.mark.parametrize("measure", ["area", "perimeter"])
+    def test_diametral_conflict(self, measure):
+        # (0,0),(2,0) define a diameter; (1,1) lies on that circle.
+        with pytest.raises(GeneralPositionError) as exc:
+            shapley_disk([(0, 0), (2, 0), (1, 1)], measure)
+        assert exc.value.offending == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("measure", ["area", "perimeter"])
+    def test_cocircular_four(self, measure):
+        # No pair of the four is a diameter, and (0, 1, 3) is acute, so the
+        # tie in the pencil of (0, 1) involves a basis triple.
+        with pytest.raises(GeneralPositionError) as exc:
+            shapley_disk(on_circle([0.3, 1.4, 2.9, 4.4]), measure)
+        assert exc.value.offending == ((0, 1, 2, 3),)

@@ -14,49 +14,9 @@ from geoshapley.geometry import (
     min_enclosing_disk,
     quadrant_of,
     reflect_to_positive_quadrant,
-    validate_general_position,
 )
 
 from conftest import assert_close, random_plane_points
-
-
-class TestValidateGeneralPosition:
-    def test_collinear_triple_reported(self):
-        rep = validate_general_position(
-            [(0, 0), (1, 0), (2, 0)], required=("no_three_collinear",)
-        )
-        assert rep.no_three_collinear is False
-        assert (0, 1, 2) in rep.offending["no_three_collinear"]
-
-    def test_shared_x_coordinate(self):
-        rep = validate_general_position([(0, 0), (0, 1)], required=("distinct_coords",))
-        assert rep.distinct_coords is False
-        assert (0, 1) in rep.offending["distinct_coords"]
-
-    def test_generic_triangle_passes_all(self):
-        rep = validate_general_position([(0.1, 0.2), (1.3, 0.5), (0.4, 1.7)])
-        assert rep.ok()
-        assert rep.offending == {}
-
-    def test_axis_aligned_right_triangle_flags(self):
-        # Shares coordinates and its circumcircle has an input-pair diameter.
-        rep = validate_general_position([(0, 0), (1, 0), (0, 1)])
-        assert rep.distinct_coords is False
-        assert rep.no_diametral_conflict is False
-        assert rep.no_three_collinear is True
-
-    def test_cocircular_four(self):
-        # Unit circle: four cocircular points.
-        pts = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        rep = validate_general_position(pts, required=("no_four_cocircular",))
-        assert rep.no_four_cocircular is False
-
-    def test_diametral_conflict(self):
-        # (0,0),(2,0) define a diameter; (1,1) lies on that circle.
-        rep = validate_general_position(
-            [(0, 0), (2, 0), (1, 1)], required=("no_diametral_conflict",)
-        )
-        assert rep.no_diametral_conflict is False
 
 
 class TestConvexHull:

@@ -158,3 +158,19 @@ class TestHullPerimeter:
         pts = random_plane_points(rng, 400)
         sv = shapley_hull_perimeter(pts)
         assert abs(sv.efficiency_residual) <= 1e-9 * sv.game_total
+
+
+class TestGeneralPosition:
+    @pytest.mark.parametrize("solver", [shapley_hull_area, shapley_hull_perimeter])
+    def test_collinear_triple_reported(self, solver):
+        with pytest.raises(GeneralPositionError) as exc:
+            solver([(0, 0), (1, 1), (2, 2), (3, 0.5)])
+        assert exc.value.offending == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("solver", [shapley_hull_area, shapley_hull_perimeter])
+    def test_near_collinear_triple_reported(self, solver):
+        # Seen from point 0, points 1 and 2 are 7.5e-13 rad apart: inside the
+        # angle tolerance, although the orientation test calls them ccw.
+        with pytest.raises(GeneralPositionError) as exc:
+            solver([(0, 0), (1000, 0), (2000, 1.5e-9), (500, 700)])
+        assert exc.value.offending == ((0, 1, 2),)
