@@ -67,7 +67,11 @@ def _fmt(v):
 
 def read_points(path):
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r") as fh:
+                text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
     stripped = text.lstrip()

@@ -11,20 +11,22 @@ pair into a pencil of circles: sweeping the circumcenter along the
 bisector of the pair orders the third points by their crossing
 parameter, which yields every triple level and every per-query
 prefix sum for that pencil in one sort.  Each triple appears in three
-pencils, hence the final division by three.
+pencils, hence the final division by three.  The pairs (i, j), j > i, of
+one first endpoint i are handled together, as the rows of one array pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
 from .errors import DomainError, GeneralPositionError
 from .games import ShapleyVector
-from .geometry import DEGENERACY_TOL, Disk, _pencil_parameters
+from .geometry import DEGENERACY_TOL, Disk
 
 _MEASURES = ("area", "perimeter")
 
@@ -81,180 +83,182 @@ def _rho2_prime(levels):
     return 1.0 / ((lv + 2.0) * (lv + 1.0))
 
 
-class _Pencil:
-    """Sweep data for the pencil of circles through one point pair."""
+class _Sweep(NamedTuple):
+    """Pair bases (i, j) and the pencils through them, for all j > i.
 
-    def __init__(self, pts, i, j):
-        self.i = i
-        self.j = j
-        n = pts.shape[0]
-        self.others = np.delete(np.arange(n), [i, j])
-        t, g, _ = _pencil_parameters(pts, i, j)
-        self.t = t
-        self.g = g
-        seg = pts[j] - pts[i]
-        self.quarter = 0.25 * (seg[0] ** 2 + seg[1] ** 2)
-        finite = g != 0.0
-        self.finite = finite
-        order = np.argsort(t[finite], kind="stable")
-        self.sorted_pos = np.empty(finite.sum(), dtype=np.int64)
-        self.sorted_pos[order] = np.arange(order.size)
-        self.tv = t[finite][order]
-        self.gv = g[finite][order]
-        self.order_idx = self.others[finite][order]
-        # Points on the line through the pair never cross the moving circle;
-        # num > 0 means always outside.
-        num = t * g
-        self.const_out = self.others[~finite][num[~finite] > 0]
-        self.const_in = self.others[~finite][num[~finite] <= 0]
+    Row k belongs to the pair (i, js[k]).  ``outside`` is indexed by point;
+    the pencil fields are in sweep order: position s of row k holds the
+    third point ``order[k, s]`` and its circle through (i, js[k]).
+    """
 
-    def check_cocircular(self, valid):
-        """Reject parameter ties that involve a basis triple.
-
-        The tolerance is scaled by the local parameter magnitude; ties
-        between two non-basis (obtuse) triples cannot affect any level or
-        prefix sum, so they are ignored (near-collinear points produce
-        huge, closely spaced parameters that are geometrically harmless).
-        """
-        if self.tv.size < 2:
-            return
-        scale = np.maximum(1.0, np.maximum(np.abs(self.tv[1:]), np.abs(self.tv[:-1])))
-        tie = np.diff(self.tv) <= DEGENERACY_TOL * scale
-        relevant = tie & (valid[1:] | valid[:-1])
-        hits = np.nonzero(relevant)[0]
-        if hits.size:
-            k = hits[0]
-            raise GeneralPositionError(
-                "four points are cocircular",
-                offending=[
-                    tuple(
-                        sorted(
-                            (self.i, self.j, int(self.order_idx[k]), int(self.order_idx[k + 1]))
-                        )
-                    )
-                ],
-            )
-
-    def levels(self):
-        """level of the circumdisk at each sorted crossing parameter."""
-        pos = (self.gv > 0).astype(np.int64)
-        neg = 1 - pos
-        cpos = np.cumsum(pos)
-        cneg = np.cumsum(neg)
-        total_pos = int(cpos[-1]) if cpos.size else 0
-        # outside at t_k: positive-side points not yet entered, negative-side
-        # points already left, plus the constant outsiders.
-        return (total_pos - cpos) + (cneg - neg) + self.const_out.size
-
-    def radii(self):
-        return np.sqrt(self.tv * self.tv + self.quarter)
-
-    def acute_mask(self, pts):
-        """Triples (i, j, k) whose circumcircle is their med: acute triangles.
-
-        A vanishing dot product is a right triangle, i.e. a circle through
-        three inputs with an input-pair diameter: a general-position error.
-        """
-        pi = pts[self.i]
-        pj = pts[self.j]
-        r = pts[self.order_idx]
-        vij = pj - pi
-        d1 = (r - pi) @ vij
-        d2 = (r - pj) @ (-vij)
-        d3 = np.einsum("kd,kd->k", pi - r, pj - r)
-        scale = np.maximum(1.0, np.sum(vij * vij) + np.sum((r - pi) ** 2, axis=1))
-        tol = DEGENERACY_TOL * scale
-        for d in (d1, d2, d3):
-            hits = np.nonzero(np.abs(d) <= tol)[0]
-            if hits.size:
-                k = hits[0]
-                raise GeneralPositionError(
-                    "circle through three points has an input-pair diameter",
-                    offending=[tuple(sorted((self.i, self.j, int(self.order_idx[k]))))],
-                )
-        return (d1 > 0) & (d2 > 0) & (d3 > 0)
+    i: int
+    js: np.ndarray  # (K,) second endpoints
+    pair_level: np.ndarray  # (K,) points outside the diametral disk
+    pair_radius: np.ndarray  # (K,)
+    outside: np.ndarray  # (K, n) outside the diametral disk
+    const_out: np.ndarray  # (K, n) on the pair's line, beyond the segment
+    order: np.ndarray  # (K, n) third point at each sweep position
+    t: np.ndarray  # (K, n) circumcenter parameter, 0 where side == 0
+    side: np.ndarray  # (K, n) +1 enters, -1 leaves, 0 never crosses
+    acute: np.ndarray  # (K, n) the triple is a basis
+    level: np.ndarray  # (K, n) triple level (meaningful where acute)
+    radius: np.ndarray  # (K, n) circumradius
 
 
-def _pair_levels(pts):
-    """Levels of all pair bases plus boundary-degeneracy detection.
+def _sweeps(pts):
+    """Yield one _Sweep per first endpoint i, in index order.
 
-    Returns (i_idx, j_idx, level, meas_r) flattened over pairs i < j.
+    Sweeping the circle center along the bisector of (i, j), center =
+    midpoint + t * u with u the unit normal of the segment, a third point
+    r with signed normal offset g = 2 (r - m).u crosses the boundary at
+    t = (|r - m|^2 - |seg|^2 / 4) / g; it enters (g > 0) or leaves (g < 0)
+    the disk there.  Points on the line through the pair (g == 0) never
+    cross: outside iff beyond the segment.
+
+    Degeneracies raise GeneralPositionError in a fixed order: every pair
+    check (diametral circle) first, then the pencils in (i, j) order, each
+    checking right triangles before cocircular ties.  A pencil error is
+    therefore held back until the remaining pair checks have passed.
     """
     n = pts.shape[0]
-    out_i, out_j, out_lv, out_r = [], [], [], []
-    for i in range(n):
+    pending = None
+    for i in range(n - 1):
         js = np.arange(i + 1, n)
-        if js.size == 0:
+        seg = pts[js] - pts[i]
+        r2 = 0.25 * np.sum(seg * seg, axis=1)
+        num, g, ends = _pair_rows(pts, i, js, seg, r2)
+        if pending is not None:
             continue
-        m = 0.5 * (pts[i] + pts[js])  # (k, 2)
-        r2 = 0.25 * np.sum((pts[i] - pts[js]) ** 2, axis=1)
-        d2 = np.sum((pts[None, :, :] - m[:, None, :]) ** 2, axis=2)  # (k, n)
-        tol = DEGENERACY_TOL * np.maximum(1.0, r2)[:, None]
-        on_boundary = np.abs(d2 - r2[:, None]) <= tol
-        on_boundary[np.arange(js.size), i] = False
-        on_boundary[np.arange(js.size), js] = False
-        if np.any(on_boundary):
-            k, s = np.argwhere(on_boundary)[0]
-            raise GeneralPositionError(
-                "point lies on the diametral circle of a pair",
-                offending=[tuple(sorted((i, int(js[k]), int(s))))],
-            )
-        outside = d2 > r2[:, None]
-        outside[np.arange(js.size), i] = False
-        outside[np.arange(js.size), js] = False
-        out_i.append(np.full(js.size, i))
-        out_j.append(js)
-        out_lv.append(outside.sum(axis=1))
-        out_r.append(np.sqrt(r2))
-    return (
-        np.concatenate(out_i),
-        np.concatenate(out_j),
-        np.concatenate(out_lv),
-        np.concatenate(out_r),
+        outside = (num > 0) & ~ends
+        try:
+            sweep = _pencils(pts, i, js, seg, r2, num, g, ends)
+        except GeneralPositionError as err:
+            pending = err
+            continue
+        yield _Sweep(i, js, outside.sum(axis=1), np.sqrt(r2), outside, *sweep)
+    if pending is not None:
+        raise pending
+
+
+def _pair_rows(pts, i, js, seg, r2):
+    """Rows (i, j) for j in js, with a column per point: its power with
+    respect to the diametral circle of (i, j), its signed normal offset
+    g = 2 (r - m).u, and whether it is i or j.  A point on a diametral
+    circle is rejected before g is formed."""
+    m = 0.5 * (pts[i] + pts[js])
+    dx = pts[None, :, 0] - m[:, 0, None]
+    dy = pts[None, :, 1] - m[:, 1, None]
+    num = dx * dx + dy * dy - r2[:, None]
+    ends = np.zeros(num.shape, dtype=bool)
+    ends[:, i] = True
+    ends[np.arange(js.size), js] = True
+    tol = DEGENERACY_TOL * np.maximum(1.0, r2)[:, None]
+    on_boundary = (np.abs(num) <= tol) & ~ends
+    if np.any(on_boundary):
+        k, s = np.argwhere(on_boundary)[0]
+        raise GeneralPositionError(
+            "point lies on the diametral circle of a pair",
+            offending=[tuple(sorted((i, int(js[k]), int(s))))],
+        )
+    norm = np.hypot(seg[:, 0], seg[:, 1])
+    u = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / norm[:, None]
+    return num, 2.0 * (dx * u[:, 0, None] + dy * u[:, 1, None]), ends
+
+
+def _pencils(pts, i, js, seg, r2, num, g, ends):
+    """Sweep fields of the pencils through (i, j) for all j in js."""
+    k_rows, n = num.shape
+    g[ends] = 0.0
+    live = g != 0.0
+    const_out = ~live & ~ends & (num > 0)
+    t = np.divide(num, g, out=np.full(num.shape, np.inf), where=live)
+    order = np.argsort(t, axis=1, kind="stable")
+    flat = (order + n * np.arange(k_rows)[:, None]).ravel()
+
+    def sort(a):
+        return a.ravel()[flat].reshape(k_rows, n)
+
+    side = np.sign(sort(g)).astype(np.int8)
+    t = np.where(side != 0, sort(t), 0.0)
+    right, acute = _corners(pts, i, seg, r2, live)
+    acute = sort(acute)
+
+    # Parameter ties between sweep neighbours, one of them a basis triple.
+    # Ties between two obtuse triples change no level or sum and pass
+    # (near-collinear points give huge, closely spaced parameters).
+    abs_t = np.abs(t)
+    gap_tol = DEGENERACY_TOL * np.maximum(1.0, np.maximum(abs_t[:, 1:], abs_t[:, :-1]))
+    tie = (
+        (side[:, 1:] != 0)
+        & (side[:, :-1] != 0)
+        & (acute[:, 1:] | acute[:, :-1])
+        & (np.diff(t, axis=1) <= gap_tol)
     )
+    bad = np.any(right, axis=(0, 2)) | np.any(tie, axis=1)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        for hit in right[:, k, order[k]]:  # the first sorted hit, corner by corner
+            if np.any(hit):
+                r = int(order[k, np.argmax(hit)])
+                raise GeneralPositionError(
+                    "circle through three points has an input-pair diameter",
+                    offending=[tuple(sorted((i, int(js[k]), r)))],
+                )
+        s = int(np.argmax(tie[k]))
+        raise GeneralPositionError(
+            "four points are cocircular",
+            offending=[tuple(sorted((i, int(js[k]), int(order[k, s]), int(order[k, s + 1]))))],
+        )
+
+    # Level at each crossing: entering points not yet entered, leaving
+    # points already left, plus the constant outsiders.
+    leaves = side < 0
+    c_in = np.cumsum(side > 0, axis=1)
+    level = (c_in[:, -1:] - c_in) + (np.cumsum(leaves, axis=1) - leaves)
+    level += np.sum(const_out, axis=1)[:, None]
+    radius = np.sqrt(t * t + r2[:, None])
+    return const_out, order, t, side, acute, level, radius
+
+
+def _corners(pts, i, seg, r2, live):
+    """Right and acute triangles (i, j, r), from the dot products at their
+    corners: seg.a at i, with a = r - pts[i]; |seg|^2 - seg.a at j;
+    |a|^2 - seg.a at r.  A vanishing one is a right triangle, whose
+    circumcircle has an input-pair diameter; all positive is acute.
+
+    Returns right as a (3, K, n) mask, corner by corner, and acute as (K, n).
+    """
+    a = pts - pts[i]
+    seg2 = 4.0 * r2[:, None]
+    a2 = np.sum(a * a, axis=1)[None, :]
+    at_i = seg @ a.T
+    tol = DEGENERACY_TOL * np.maximum(1.0, seg2 + a2)
+    corners = (at_i, seg2 - at_i, a2 - at_i)
+    right = np.stack([live & (np.abs(d) <= tol) for d in corners])
+    return right, live & (corners[0] > 0) & (corners[1] > 0) & (corners[2] > 0)
 
 
 def enumerate_bases(points):
     """All bases with their levels.
 
     Every pair is a basis (both endpoints lie on their diametral circle);
-    a triple is a basis iff it spans an acute triangle.  Pair levels are
-    counted naively; triple levels come from the per-pair pencil sweeps
-    (each triple reported once, from its lexicographically first pair).
+    a triple is a basis iff it spans an acute triangle.  Pairs come first
+    in (i, j) order, then triples in (i, j, sweep) order; each triple is
+    reported once, from the pencil of its lexicographically first pair.
     """
     pts = geometry.as_points(points)
-    n = pts.shape[0]
-    bases = []
-    if n >= 2:
-        pi, pj, lv, rr = _pair_levels(pts)
-        for k in range(pi.size):
-            a, b = int(pi[k]), int(pj[k])
-            center = tuple(0.5 * (pts[a] + pts[b]))
-            bases.append(DiskBasis((a, b), Disk(center, float(rr[k])), int(lv[k])))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if n < 3:
-                continue
-            pencil = _Pencil(pts, i, j)
-            if pencil.tv.size == 0:
-                continue
-            valid = pencil.acute_mask(pts)
-            pencil.check_cocircular(valid)
-            levels = pencil.levels()
-            radii = pencil.radii()
-            for k in np.nonzero(valid)[0]:
-                third = int(pencil.order_idx[k])
-                if third < j:
-                    continue  # already reported from an earlier pair
-                center = _circumcenter(pts, i, j, pencil.tv[k])
-                bases.append(
-                    DiskBasis(
-                        tuple(sorted((i, j, third))),
-                        Disk(center, float(radii[k])),
-                        int(levels[k]),
-                    )
-                )
-    return bases
+    pairs, triples = [], []
+    for sw in _sweeps(pts):
+        i = sw.i
+        for k, j in enumerate(sw.js.tolist()):
+            center = tuple(0.5 * (pts[i] + pts[j]))
+            disk = Disk(center, float(sw.pair_radius[k]))
+            pairs.append(DiskBasis((i, j), disk, int(sw.pair_level[k])))
+            for s in np.nonzero(sw.acute[k] & (sw.order[k] > j))[0]:
+                third = int(sw.order[k, s])
+                disk = Disk(_circumcenter(pts, i, j, sw.t[k, s]), float(sw.radius[k, s]))
+                triples.append(DiskBasis((i, j, third), disk, int(sw.level[k, s])))
+    return pairs + triples
 
 
 def _circumcenter(pts, i, j, t):
@@ -269,9 +273,10 @@ def _circumcenter(pts, i, j, t):
 def shapley_disk(points, measure="area", minus_mode="pencil"):
     """Shapley values of the enclosing-disk game for the given measure.
 
-    ``minus_mode`` selects how the exclusion sum phi_minus is computed:
-    "pencil" uses per-pencil prefix sums (the fast path), "direct" sums
-    over every (basis, point) pair as an independent cross-check.
+    ``minus_mode="pencil"`` is the fast path: per-pencil prefix sums.
+    ``"direct"`` is an independent O(n^4) cross-check that shares only the
+    basis enumeration: every basis adds its rho'-weighted measure to its
+    support and its rho-weighted measure to every point outside its disk.
     """
     if measure not in _MEASURES:
         raise DomainError(f"measure must be one of {_MEASURES}")
@@ -289,91 +294,60 @@ def shapley_disk(points, measure="area", minus_mode="pencil"):
         r = np.asarray(radii, dtype=float)
         return math.pi * r * r if measure == "area" else 2.0 * math.pi * r
 
+    if minus_mode == "direct":
+        return ShapleyVector(_shapley_direct(pts, meas_of), total, game)
+
     phi_plus = np.zeros(n)
     phi_minus = np.zeros(n)
+    acc_plus = np.zeros(n)  # triple sums, each triple seen from three pencils
+    acc_minus = np.zeros(n)
+    for sw in _sweeps(pts):
+        w2 = meas_of(sw.pair_radius)
+        w2_plus = w2 * _rho2_prime(sw.pair_level)
+        phi_plus[sw.i] += np.sum(w2_plus)
+        phi_plus[sw.js] += w2_plus
+        phi_minus += sw.outside.T @ (w2 * _rho2(sw.pair_level))
 
-    # Pair bases: direct accumulation.
-    pi, pj, lv2, rr2 = _pair_levels(pts)
-    w2_plus = meas_of(rr2) * _rho2_prime(lv2)
-    np.add.at(phi_plus, pi, w2_plus)
-    np.add.at(phi_plus, pj, w2_plus)
-    w2_minus = meas_of(rr2) * _rho2(lv2)
-    if minus_mode == "direct":
-        for k in range(pi.size):
-            if w2_minus[k] == 0.0:
-                continue
-            a, b = int(pi[k]), int(pj[k])
-            out = _outside_mask(pts, 0.5 * (pts[a] + pts[b]), rr2[k])
-            out[[a, b]] = False  # endpoints sit on the boundary
-            phi_minus[out] += w2_minus[k]
-    else:
-        # Same O(n^3) work, batched per first endpoint.
-        pos = 0
-        for i in range(n):
-            js = np.arange(i + 1, n)
-            if js.size == 0:
-                continue
-            w = w2_minus[pos : pos + js.size]
-            pos += js.size
-            m = 0.5 * (pts[i] + pts[js])
-            r2 = 0.25 * np.sum((pts[i] - pts[js]) ** 2, axis=1)
-            outside = np.sum((pts[None, :, :] - m[:, None, :]) ** 2, axis=2) > r2[:, None]
-            outside[np.arange(js.size), i] = False
-            outside[np.arange(js.size), js] = False
-            phi_minus += outside.T @ w
-
-    # Triple bases via pencils.
-    if n >= 3:
-        acc_plus = np.zeros(n)
-        acc_minus = np.zeros(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                pencil = _Pencil(pts, i, j)
-                if pencil.tv.size == 0:
-                    continue
-                valid = pencil.acute_mask(pts)
-                pencil.check_cocircular(valid)
-                levels = pencil.levels()
-                w = meas_of(pencil.radii())
-                w_plus = np.where(valid, w * _rho3_prime(levels), 0.0)
-                w_minus = np.where(valid, w * _rho3(levels), 0.0)
-                s_plus = float(np.sum(w_plus))
-                acc_plus[i] += s_plus
-                acc_plus[j] += s_plus
-                acc_plus[pencil.order_idx] += w_plus
-                if minus_mode == "direct":
-                    continue
-                pref = np.concatenate([[0.0], np.cumsum(w_minus)])
-                total_minus = pref[-1]
-                k = pencil.sorted_pos  # position of each finite point
-                contrib = np.where(
-                    pencil.gv[k] > 0, pref[k], total_minus - pref[k + 1]
-                )
-                acc_minus[pencil.order_idx[k]] += contrib
-                acc_minus[pencil.const_out] += total_minus
-        phi_plus += acc_plus / 3.0
-        if minus_mode == "direct":
-            phi_minus += _phi_minus_direct_triples(pts, meas_of)
-        else:
-            phi_minus += acc_minus / 3.0
-
+        plus, minus = _triple_sums(sw, meas_of, n)
+        acc_plus += plus
+        acc_minus += minus
+    phi_plus += acc_plus / 3.0
+    phi_minus += acc_minus / 3.0
     return ShapleyVector(phi_plus - phi_minus, total, game)
 
 
-def _outside_mask(pts, center, radius):
-    d2 = np.sum((pts - center) ** 2, axis=1)
-    return d2 > radius * radius
+def _triple_sums(sw, meas_of, n):
+    """phi_plus and phi_minus of the triple bases in the pencils of a sweep."""
+    order = sw.order.ravel()
+    w = meas_of(sw.radius)
+    w_plus = np.where(sw.acute, w * _rho3_prime(sw.level), 0.0)
+    w_minus = np.where(sw.acute, w * _rho3(sw.level), 0.0)
+    s_plus = np.sum(w_plus, axis=1)
+    plus = np.bincount(order, w_plus.ravel(), minlength=n)
+    plus[sw.i] += np.sum(s_plus)
+    plus[sw.js] += s_plus
+    # A point that enters at position s is outside the circles before it;
+    # one that leaves is outside the circles after it.
+    pref = np.zeros((sw.js.size, n + 1))
+    np.cumsum(w_minus, axis=1, out=pref[:, 1:])
+    after = pref[:, -1:] - pref[:, 1:]
+    contrib = np.where(sw.side > 0, pref[:, :-1], np.where(sw.side < 0, after, 0.0))
+    minus = np.bincount(order, contrib.ravel(), minlength=n)
+    minus += sw.const_out.T @ pref[:, -1]
+    return plus, minus
 
 
-def _phi_minus_direct_triples(pts, meas_of):
-    """O(n^4) reference: every triple basis against every point."""
-    n = pts.shape[0]
-    out = np.zeros(n)
+def _shapley_direct(pts, meas_of):
+    """O(n^4) reference: every basis against every point."""
+    phi = np.zeros(pts.shape[0])
     for basis in enumerate_bases(pts):
-        if len(basis.support) != 3 or basis.level < 1:
+        support = list(basis.support)
+        w = float(meas_of(basis.disk.radius))
+        phi[support] += w * rho_prime_basis(len(support), basis.level)
+        if basis.level < 1:
             continue
-        w = float(meas_of(basis.disk.radius)) * rho_basis(3, basis.level)
-        mask = _outside_mask(pts, np.asarray(basis.disk.center), basis.disk.radius)
-        mask[list(basis.support)] = False  # support sits on the boundary
-        out[mask] += w
-    return out
+        center = np.asarray(basis.disk.center)
+        out = np.sum((pts - center) ** 2, axis=1) > basis.disk.radius ** 2
+        out[support] = False  # support sits on the boundary
+        phi[out] -= w * rho_basis(len(support), basis.level)
+    return phi

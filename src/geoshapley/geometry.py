@@ -121,30 +121,6 @@ def signed_area(a, b, c):
     return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def _pencil_parameters(pts, i, j):
-    """Sweep parameters of the circle pencil through pts[i], pts[j].
-
-    Centers move along the bisector: center(s) = midpoint + s * u with u the
-    unit normal of the segment.  Each other point r crosses the moving circle
-    boundary at one parameter t_r (the circumcenter parameter of (i, j, r));
-    g_r is the signed normal offset of r (g_r = 0 iff r is on the line ij,
-    in which case t_r is +-inf and r never crosses).
-
-    Returns (t, g, u) for all points except i and j, in index order.
-    """
-    others = np.delete(pts, [i, j], axis=0)
-    m = 0.5 * (pts[i] + pts[j])
-    seg = pts[j] - pts[i]
-    norm = math.hypot(seg[0], seg[1])
-    u = np.array([-seg[1], seg[0]]) / norm
-    dm = others - m
-    g = 2.0 * (dm @ u)
-    num = np.sum(dm * dm, axis=1) - 0.25 * norm * norm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(g != 0.0, num / g, np.where(num > 0, np.inf, -np.inf))
-    return t, g, u
-
-
 def convex_hull(points):
     """Convex hull vertices in counterclockwise order (monotone chain).
 

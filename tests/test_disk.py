@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from geoshapley.disk import (
 )
 from geoshapley.errors import DomainError, GeneralPositionError
 from geoshapley.geometry import min_enclosing_disk
-from geoshapley.oracle import shapley_by_subsets
+from geoshapley.oracle import shapley_by_permutations, shapley_by_subsets
 from geoshapley.permcount import prob_sandwich
 
 from conftest import assert_close, on_circle, random_plane_points
@@ -144,6 +145,26 @@ class TestShapleyDisk:
             direct = shapley_disk(pts, "area", minus_mode="direct")
             assert_close(fast.values, direct.values, rel=1e-10)
 
+    @pytest.mark.parametrize("minus_mode", ["pencil", "direct"])
+    @pytest.mark.parametrize("measure", ["area", "perimeter"])
+    def test_points_on_a_pair_line(self, measure, minus_mode):
+        # (0, 0), (2, 0), (5, 0) are collinear: in the pencil of each of
+        # their pairs the third never crosses the circle, and is outside
+        # every circle iff it lies beyond the segment.
+        pts = [(0, 0), (2, 0), (5, 0), (1.1, 1.7), (0.7, -1.3)]
+        game = "disk-area" if measure == "area" else "disk-perimeter"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = shapley_disk(pts, measure, minus_mode=minus_mode)
+        assert_close(got.values, shapley_by_permutations(game, pts).values, rel=1e-9)
+
+    @pytest.mark.parametrize("measure", ["area", "perimeter"])
+    def test_player_permutation(self, rng, measure):
+        pts = random_plane_points(rng, 40)
+        perm = rng.permutation(40)
+        base = shapley_disk(pts, measure).values
+        assert_close(shapley_disk(pts[perm], measure).values, base[perm], rel=1e-9)
+
     def test_efficiency_larger(self, rng):
         pts = random_plane_points(rng, 120)
         for measure in ("area", "perimeter"):
@@ -167,6 +188,12 @@ class TestGeneralPosition:
             shapley_disk([(0, 0), (2, 0), (1, 1)], measure)
         assert exc.value.offending == ((0, 1, 2),)
 
+    def test_duplicate_point(self):
+        # Point 1 repeats point 0, so it lies on the diametral circle of (0, 2).
+        with pytest.raises(GeneralPositionError) as exc:
+            shapley_disk([(0, 0), (0, 0), (1, 1), (3, -1)])
+        assert exc.value.offending == ((0, 1, 2),)
+
     @pytest.mark.parametrize("measure", ["area", "perimeter"])
     def test_cocircular_four(self, measure):
         # No pair of the four is a diameter, and (0, 1, 3) is acute, so the
@@ -174,3 +201,44 @@ class TestGeneralPosition:
         with pytest.raises(GeneralPositionError) as exc:
             shapley_disk(on_circle([0.3, 1.4, 2.9, 4.4]), measure)
         assert exc.value.offending == ((0, 1, 2, 3),)
+
+    @staticmethod
+    def planted(kind):
+        """Twelve random points with one or two planted degeneracies."""
+        pts = np.random.default_rng(2026).uniform(-10, 10, size=(12, 2))
+        if kind in ("diametral", "right", "both"):
+            # Point 9 on the circle with diameter (7, 10); "right" moves it
+            # out by a relative 1.5e-12, past the pair test's tolerance but
+            # within the right-angle test's.
+            m = 0.5 * (pts[7] + pts[10])
+            r = 0.5 * np.hypot(*(pts[7] - pts[10])) * (1 + 1.5e-12 * (kind == "right"))
+            pts[9] = m + r * np.array([np.cos(1.0), np.sin(1.0)])
+        if kind in ("cocircular", "both"):
+            for k, a in zip((1, 3, 4, 6), (0.3, 1.4, 2.9, 4.4)):
+                pts[k] = (2.0 + 5.0 * np.cos(a), -1.0 + 5.0 * np.sin(a))
+        return pts
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda p: shapley_disk(p, "area"),
+            lambda p: shapley_disk(p, "perimeter", minus_mode="direct"),
+            enumerate_bases,
+        ],
+        ids=["area-pencil", "perimeter-direct", "bases"],
+    )
+    @pytest.mark.parametrize(
+        "kind, message, offending",
+        [
+            ("diametral", "diametral circle of a pair", (7, 9, 10)),
+            ("right", "input-pair diameter", (7, 9, 10)),
+            ("cocircular", "four points are cocircular", (1, 3, 4, 6)),
+            # The pencil of (1, 3) comes before the pair (7, 10), but every
+            # pair check runs before the first pencil check.
+            ("both", "diametral circle of a pair", (7, 9, 10)),
+        ],
+    )
+    def test_planted_offending_tuple(self, solve, kind, message, offending):
+        with pytest.raises(GeneralPositionError, match=message) as exc:
+            solve(self.planted(kind))
+        assert exc.value.offending == (offending,)
