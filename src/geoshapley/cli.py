@@ -60,6 +60,14 @@ class ResultRecord:
     wall_time_ms: float = 0.0
 
 
+# Rows per bulk step of the CSV reader and of both writers.
+_CHUNK = 4096
+
+# For a Python float, "%.17g" renders the same bytes as _fmt.
+_JSON_ROW = '{"index":%d,"point":[%.17g,%.17g],"shapley":%.17g}'
+_CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
+
+
 def _fmt(v):
     """17 significant digits: round-trip-exact for doubles."""
     return format(float(v), ".17g")
@@ -83,52 +91,91 @@ def read_points(path):
             raise ParseError(f"bad JSON input: {exc}") from exc
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
+        if pts.ndim != 2 or pts.shape[1] not in (1, 2) or pts.shape[0] == 0:
+            raise ParseError("JSON 'points' must be a nonempty list of [x, y]")
         if pts.shape[1] == 1:
             pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise ParseError("JSON 'points' must be a nonempty list of [x, y]")
         return pts
-    rows = []
-    header = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        parts = [c.strip() for c in s.split(",")]
-        try:
-            vals = [float(c) for c in parts if c != ""]
-        except ValueError:
-            if header is None and not rows:
-                header = [c.lower() for c in parts]
-                continue
-            raise ParseError(f"line {lineno}: cannot parse {s!r}")
-        if vals:
-            rows.append(vals)
-    if not rows:
-        raise ParseError("no data rows in input")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ParseError("inconsistent number of columns")
-    arr = np.asarray(rows, dtype=float)
+    arr, header = _parse_csv(text)
     if header is not None and "x" in header:
         xi = header.index("x")
         yi = header.index("y") if "y" in header else None
         x = arr[:, xi]
         y = arr[:, yi] if yi is not None else np.zeros(arr.shape[0])
         return np.column_stack([x, y])
-    if width == 1:
+    if arr.shape[1] == 1:
         return np.column_stack([arr[:, 0], np.zeros(arr.shape[0])])
-    if width == 2:
+    if arr.shape[1] == 2:
         return arr
     raise ParseError("expected 1 or 2 unnamed columns (or a header naming x,y)")
 
 
+def _parse_csv(text):
+    """Data rows of a CSV text as an (n, width) array, and the lower-cased
+    header cells (None without a header).
+
+    Blank lines and '#' lines are skipped, empty cells are dropped, and a
+    header is the first unparseable line before any data.  Once the row
+    width is known, a chunk of lines in which every line has width - 1
+    commas and every cell parses is converted in one pass; any other chunk
+    goes through the line-by-line loop, which reports the line number.
+    """
+    lines = text.splitlines()
+    blocks = []  # one flat float array per chunk
+    header = None
+    width = None
+    ragged = False
+    for lo in range(0, len(lines), _CHUNK):
+        chunk = lines[lo : lo + _CHUNK]
+        if width is not None:
+            body = [s for s in map(str.strip, chunk) if s and s[0] != "#"]
+            if all(s.count(",") == width - 1 for s in body):
+                try:
+                    blocks.append(np.array(list(map(float, ",".join(body).split(",")))))
+                    continue
+                except ValueError:
+                    pass
+        vals_of_chunk = []
+        for lineno, line in enumerate(chunk, lo + 1):
+            s = line.strip()
+            if not s or s.startswith("#"):
+                continue
+            parts = [c.strip() for c in s.split(",")]
+            try:
+                vals = [float(c) for c in parts if c != ""]
+            except ValueError:
+                if header is None and width is None:
+                    header = [c.lower() for c in parts]
+                    continue
+                raise ParseError(f"line {lineno}: cannot parse {s!r}")
+            if vals:
+                if width is None:
+                    width = len(vals)
+                ragged = ragged or len(vals) != width
+                vals_of_chunk.extend(vals)
+        blocks.append(np.array(vals_of_chunk))
+    if width is None:
+        raise ParseError("no data rows in input")
+    if ragged:
+        raise ParseError("inconsistent number of columns")
+    return np.concatenate(blocks).reshape(-1, width), header
+
+
+def _format_rows(rec, row, sep):
+    """Every row of a record through the %-template ``row``, ``sep``
+    between rows, formatted one chunk of rows at a time."""
+    pts = np.asarray(rec.points, dtype=float)
+    values = np.asarray(rec.values, dtype=float)
+    chunks = []
+    for lo in range(0, len(values), _CHUNK):
+        hi = min(lo + _CHUNK, len(values))
+        cols = (pts[lo:hi, 0].tolist(), pts[lo:hi, 1].tolist(), values[lo:hi].tolist())
+        chunks.append(sep.join(map(row.__mod__, zip(range(lo, hi), *cols))))
+    return sep.join(chunks)
+
+
 def record_to_json(rec: ResultRecord):
-    vals = ",".join(
-        '{"index":%d,"point":[%s,%s],"shapley":%s}'
-        % (i, _fmt(p[0]), _fmt(p[1]), _fmt(s))
-        for i, (p, s) in enumerate(zip(rec.points, rec.values))
-    )
+    vals = _format_rows(rec, _JSON_ROW, ",")
     return (
         '{"game":"%s","n":%d,"algorithm":"%s","values":[%s],'
         '"total":%s,"efficiency_residual":%s,"wall_time_ms":%s}'
@@ -145,8 +192,9 @@ def record_to_json(rec: ResultRecord):
 
 
 def record_to_csv(rec: ResultRecord):
-    lines = [
-        "# game=%s algorithm=%s n=%d total=%s efficiency_residual=%s wall_time_ms=%s"
+    head = (
+        "# game=%s algorithm=%s n=%d total=%s efficiency_residual=%s wall_time_ms=%s\n"
+        "index,x,y,shapley\n"
         % (
             rec.game,
             rec.algorithm,
@@ -154,12 +202,9 @@ def record_to_csv(rec: ResultRecord):
             _fmt(rec.total),
             _fmt(rec.efficiency_residual),
             _fmt(rec.wall_time_ms),
-        ),
-        "index,x,y,shapley",
-    ]
-    for i, (p, s) in enumerate(zip(rec.points, rec.values)):
-        lines.append("%d,%s,%s,%s" % (i, _fmt(p[0]), _fmt(p[1]), _fmt(s)))
-    return "\n".join(lines) + "\n"
+        )
+    )
+    return head + _format_rows(rec, _CSV_ROW, "")
 
 
 def _write(path, text):

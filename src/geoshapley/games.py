@@ -170,6 +170,8 @@ def shapley_airport(coords):
     x = np.asarray(coords, dtype=float).reshape(-1)
     if x.size < 1:
         raise DomainError("need at least one player")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("point coordinates must be finite")
     if np.any(x <= 0.0):
         raise DomainError("airport coordinates must be strictly positive")
     return ShapleyVector(_airport_values(x), float(x.max()), "airport")
@@ -180,6 +182,8 @@ def shapley_interval_length(coords):
     x = np.asarray(coords, dtype=float).reshape(-1)
     if x.size < 1:
         raise DomainError("need at least one player")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("point coordinates must be finite")
     return ShapleyVector(
         _interval_length_values(x), float(x.max() - x.min()), "interval-length"
     )

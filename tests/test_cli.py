@@ -1,10 +1,18 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from geoshapley import hull
-from geoshapley.cli import main, read_points
+from geoshapley import cli, hull
+from geoshapley.cli import (
+    ParseError,
+    ResultRecord,
+    main,
+    read_points,
+    record_to_csv,
+    record_to_json,
+)
 from geoshapley.games import GAME_KINDS
 
 from conftest import assert_close, on_circle
@@ -246,6 +254,196 @@ class TestGeneralPosition:
             assert code == 0, err
             values.append([v["shapley"] for v in json.loads(out)["values"]])
         assert_close(values[0], values[1], rel=1e-9)
+
+
+def _numbered_rows(n, start=0):
+    """CSV lines ``i,2i+0.5`` for i in [start, start + n)."""
+    return [f"{i},{2 * i + 0.5}" for i in range(start, start + n)]
+
+
+def _numbered_points(n, start=0):
+    i = np.arange(start, start + n, dtype=float)
+    return np.column_stack([i, 2 * i + 0.5])
+
+
+def _interleaved(n):
+    """n data rows with a comment line, a blank line and an indented
+    comment woven between them at different periods."""
+    lines = []
+    for i, row in enumerate(_numbered_rows(n)):
+        if i % 7 == 0:
+            lines.append("# comment %d" % i)
+        if i % 11 == 0:
+            lines.append("")
+        if i % 13 == 0:
+            lines.append("   # indented")
+        lines.append(row if i % 5 else "  " + row + "  ")
+    return "\n".join(lines) + "\n"
+
+
+def _error(text):
+    return re.escape(text)
+
+
+# Reader inputs, each with the array it parses to or a pattern for the full
+# ParseError text (every pattern but one is an exact literal).
+READER_CASES = [
+    ("csv-crlf", "1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    ("csv-upper-header", "X,Y\n1,2\n3,4\n", [[1, 2], [3, 4]]),
+    ("csv-swapped-header", "y,x\n1,2\n3,4\n", [[2, 1], [4, 3]]),
+    ("csv-x-only-header", "x\n1\n2\n", [[1, 0], [2, 0]]),
+    ("csv-empty-cell", "1,,2\n3,4\n", [[1, 2], [3, 4]]),
+    ("csv-trailing-comma", "1,2,\n3,4,\n", [[1, 2], [3, 4]]),
+    ("csv-all-empty-row", "1,2\n,,\n3,4\n", [[1, 2], [3, 4]]),
+    ("csv-ragged", "1,2\n3\n", _error("inconsistent number of columns")),
+    ("csv-bad-line", "1,2\nfoo,bar\n", _error("line 2: cannot parse 'foo,bar'")),
+    ("csv-ragged-then-bad", "1,2\n3\nfoo,bar\n", _error("line 3: cannot parse 'foo,bar'")),
+    (
+        "csv-three-unnamed",
+        "1,2,3\n4,5,6\n",
+        _error("expected 1 or 2 unnamed columns (or a header naming x,y)"),
+    ),
+    ("csv-header-only", "x,y\n", _error("no data rows in input")),
+    ("csv-empty-file", "", _error("no data rows in input")),
+    ("csv-underscore-digits", "1_0,2\n", [[10, 2]]),
+    ("csv-blank-and-comment-mid", "1,2\n\n# c\n  \n3,4\n", [[1, 2], [3, 4]]),
+    # Past the first 4096-line chunk.
+    (
+        "csv-ragged-at-5001",
+        "\n".join(_numbered_rows(5000) + ["7"] + _numbered_rows(100, 5000)),
+        _error("inconsistent number of columns"),
+    ),
+    (
+        "csv-bad-line-at-5001",
+        "\n".join(_numbered_rows(5000) + ["a,b"] + _numbered_rows(100, 5000)),
+        _error("line 5001: cannot parse 'a,b'"),
+    ),
+    (
+        "csv-ragged-then-bad-late",
+        "\n".join(_numbered_rows(4500) + ["7"] + _numbered_rows(4000, 4500) + ["a,b"]),
+        _error("line 8502: cannot parse 'a,b'"),
+    ),
+    (
+        "csv-empty-cell-past-4096",
+        "\n".join(_numbered_rows(4999) + ["4999,,9998.5"] + _numbered_rows(100, 5000)),
+        _numbered_points(5100),
+    ),
+    (
+        "csv-header-after-5000-comments",
+        "# note\n" * 5000 + "y,x\n" + "\n".join(_numbered_rows(3)),
+        _numbered_points(3)[:, ::-1],
+    ),
+    ("csv-9000-rows-interleaved", _interleaved(9000), _numbered_points(9000)),
+    ("json-one-column", '{"points": [[1],[2]]}', [[1, 0], [2, 0]]),
+    (
+        "json-ragged",
+        '{"points": [[1,2],[3]]}',
+        _error("bad JSON input: setting an array element with a sequence") + ".*",
+    ),
+    ("json-empty", '{"points": []}', _error("JSON 'points' must be a nonempty list of [x, y]")),
+    ("json-scalar", '{"points": 5}', _error("JSON 'points' must be a nonempty list of [x, y]")),
+]
+
+
+class TestReadPoints:
+    @pytest.mark.parametrize(
+        "text, expected", [c[1:] for c in READER_CASES], ids=[c[0] for c in READER_CASES]
+    )
+    def test_table(self, tmp_path, text, expected):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(ParseError) as exc:
+                read_points(str(path))
+            assert re.fullmatch(expected, str(exc.value), re.DOTALL), str(exc.value)
+        else:
+            got = read_points(str(path))
+            want = np.asarray(expected, dtype=float)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_json_scalar_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text('{"points": 5}')
+        code, _, err = run(capsys, "compute", "--game", "airport", "--input", str(path))
+        assert code == 1
+        assert "nonempty list" in err and "Traceback" not in err
+
+
+# Each row holds the same six awkward doubles in a different order.
+_SPECIAL = [-0.0, 5e-324, 1e308, 0.1, 1 / 3, 3.0]
+_SPECIAL_RECORD = ResultRecord(
+    game="bbox-area",
+    n=6,
+    algorithm="auto",
+    points=np.column_stack([_SPECIAL, _SPECIAL[::-1]]),
+    values=np.array(_SPECIAL[2:] + _SPECIAL[:2]),
+    total=-2.5e-7,
+    efficiency_residual=1.1102230246251565e-16,
+    wall_time_ms=12.345,
+)
+
+
+class TestWriters:
+    def test_json_golden(self):
+        assert record_to_json(_SPECIAL_RECORD) == (
+            '{"game":"bbox-area","n":6,"algorithm":"auto","values":['
+            '{"index":0,"point":[-0,3],"shapley":1e+308},'
+            '{"index":1,"point":[4.9406564584124654e-324,0.33333333333333331],'
+            '"shapley":0.10000000000000001},'
+            '{"index":2,"point":[1e+308,0.10000000000000001],"shapley":0.33333333333333331},'
+            '{"index":3,"point":[0.10000000000000001,1e+308],"shapley":3},'
+            '{"index":4,"point":[0.33333333333333331,4.9406564584124654e-324],"shapley":-0},'
+            '{"index":5,"point":[3,-0],"shapley":4.9406564584124654e-324}],'
+            '"total":-2.4999999999999999e-07,"efficiency_residual":1.1102230246251565e-16,'
+            '"wall_time_ms":12.345000000000001}'
+        )
+
+    def test_csv_golden(self):
+        assert record_to_csv(_SPECIAL_RECORD) == (
+            "# game=bbox-area algorithm=auto n=6 total=-2.4999999999999999e-07 "
+            "efficiency_residual=1.1102230246251565e-16 wall_time_ms=12.345000000000001\n"
+            "index,x,y,shapley\n"
+            "0,-0,3,1e+308\n"
+            "1,4.9406564584124654e-324,0.33333333333333331,0.10000000000000001\n"
+            "2,1e+308,0.10000000000000001,0.33333333333333331\n"
+            "3,0.10000000000000001,1e+308,3\n"
+            "4,0.33333333333333331,4.9406564584124654e-324,-0\n"
+            "5,3,-0,4.9406564584124654e-324\n"
+        )
+
+    def test_chunk_boundaries(self):
+        n = 2 * cli._CHUNK + 3
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1e3, 1e3, (n, 2))
+        values = rng.standard_normal(n)
+        rec = ResultRecord("bbox-area", n, "auto", pts, values, 1.5, 0.0, 0.0)
+        f = lambda v: format(float(v), ".17g")
+        rows = [(i, f(p[0]), f(p[1]), f(s)) for i, (p, s) in enumerate(zip(pts, values))]
+        want_json = ",".join(
+            '{"index":%d,"point":[%s,%s],"shapley":%s}' % row for row in rows
+        )
+        want_csv = "".join("%d,%s,%s,%s\n" % row for row in rows)
+        assert record_to_json(rec) == (
+            '{"game":"bbox-area","n":%d,"algorithm":"auto","values":[%s],'
+            '"total":1.5,"efficiency_residual":0,"wall_time_ms":0}' % (n, want_json)
+        )
+        assert record_to_csv(rec) == (
+            "# game=bbox-area algorithm=auto n=%d total=1.5 efficiency_residual=0 "
+            "wall_time_ms=0\nindex,x,y,shapley\n%s" % (n, want_csv)
+        )
+
+
+@pytest.mark.parametrize("game", GAME_KINDS)
+@pytest.mark.parametrize(
+    "text", ["x,y\n1,2\nnan,3\n4,5\n", "x,y\n1,2\n3,4\ninf,5\n"], ids=["nan", "inf"]
+)
+def test_non_finite_coordinates_exit_2(tmp_path, capsys, game, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    code, _, err = run(capsys, "compute", "--game", game, "--input", str(path))
+    assert code == 2, (game, err)
+    assert "finite" in err
 
 
 class TestVerify:
