@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
 from .dispatch import ALGORITHM_NAMES, algorithms_for, solver_for
 from .errors import (
     ConsistencyError,
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .games import GAME_KINDS
 from .instances import random_chain, random_instance, verification_suite
-from .oracle import PERMUTATION_LIMIT
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -98,6 +98,12 @@ def read_points(path):
         return pts
     arr, header = _parse_csv(text)
     if header is not None and "x" in header:
+        for name in ("x", "y"):
+            if name in header and header.index(name) >= arr.shape[1]:
+                raise ParseError(
+                    f"header names column {name!r} at position {header.index(name) + 1}, "
+                    f"but the rows have {arr.shape[1]} column(s)"
+                )
         xi = header.index("x")
         yi = header.index("y") if "y" in header else None
         x = arr[:, xi]
@@ -239,7 +245,7 @@ def cmd_compute(cfg: RunConfig):
 
 
 def _reference_algorithm(game, n):
-    if n <= PERMUTATION_LIMIT:
+    if n <= oracle.PERMUTATION_LIMIT:
         return "oracle-perm"
     for cand in ("quadratic", "naive"):
         try:
@@ -250,7 +256,38 @@ def _reference_algorithm(game, n):
     return None
 
 
+def _check_verify_args(args):
+    if args.nmin < 1:
+        raise DomainError(f"--nmin must be at least 1, got {args.nmin}")
+    if args.nmax < args.nmin:
+        raise DomainError(f"--nmax must be at least --nmin={args.nmin}, got {args.nmax}")
+    if args.instances < 1:
+        raise DomainError(f"--instances must be at least 1, got {args.instances}")
+
+
+def _verify_solutions(game, pts, ref_name, algos):
+    """The reference values and {algo: values} for one instance.
+
+    With oracle-perm as the reference, one coalition table serves both
+    oracles; each still computes its values from it by its own formula.
+    """
+    if ref_name == "oracle-perm":
+        table = oracle.coalition_table(game, pts)
+        ref = oracle.shapley_by_permutations(game, pts, table=table).values
+    else:
+        table = None
+        ref = solver_for(game, ref_name)(pts).values
+    got = {}
+    for a in algos:
+        if a == "oracle-subset" and table is not None:
+            got[a] = oracle.shapley_by_subsets(game, pts, table=table).values
+        else:
+            got[a] = solver_for(game, a)(pts).values
+    return ref, got
+
+
 def cmd_verify(args):
+    _check_verify_args(args)
     games_list = _games_from_arg(args.games)
     rng = np.random.default_rng(args.seed)
     failed = []
@@ -269,11 +306,10 @@ def cmd_verify(args):
                 algos = [a for a in algorithms_for(game, n) if a != ref_name]
                 if ref_name is None:
                     continue
-                ref = solver_for(game, ref_name)(pts).values
+                ref, got = _verify_solutions(game, pts, ref_name, algos)
                 scale = np.maximum(np.abs(ref), 1e-3)
-                for algo in algos:
-                    got = solver_for(game, algo)(pts).values
-                    diff = float(np.max(np.abs(got - ref) / scale))
+                for algo, values in got.items():
+                    diff = float(np.max(np.abs(values - ref) / scale))
                     key = (game, algo)
                     worst[key] = max(worst.get(key, 0.0), diff)
         for (g, algo), diff in sorted(worst.items()):

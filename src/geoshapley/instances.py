@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GeoShapleyError
-from .games import GAME_KINDS
-
 
 def random_chain(rng, n, increasing=True, low=0.1, high=100.0):
     x = np.sort(rng.uniform(low, high, n))
@@ -49,8 +46,3 @@ def verification_suite(game, rng, n, count, chain_every=5):
     )
     for k in range(count):
         yield random_instance(game, rng, n, chain=chainable and k % chain_every == 4)
-
-
-def check_known_game(game):
-    if game not in GAME_KINDS:
-        raise GeoShapleyError(f"unknown game {game!r}")

@@ -3,11 +3,13 @@
 Two independent computations of the same quantity: an average of marginal
 contributions over all n! insertion orders, and the weighted subset-sum
 formula.  Both read coalition values from a dense 2^n table keyed by
-bitmask.
+bitmask; a caller that runs both on one instance can build the table once
+and pass it to each.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -19,6 +21,48 @@ PERMUTATION_LIMIT = 10
 SUBSET_LIMIT = 22
 
 _PERM_CHUNK = 200_000
+
+# Orders are enumerated as a head from itertools followed by every order of
+# the remaining (at most) _TAIL players, taken from one cached table.
+_TAIL = 8
+
+
+@functools.cache
+def _lex_orders(m):
+    """Every order of range(m), lexicographic, as a read-only (m!, m) array."""
+    if m == 0:
+        out = np.zeros((1, 0), dtype=np.int64)
+    else:
+        sub = _lex_orders(m - 1)
+        out = np.empty((m, sub.shape[0], m), dtype=np.int64)
+        for first in range(m):
+            out[first, :, 0] = first
+            out[first, :, 1:] = np.delete(np.arange(m), first)[sub]
+        out = out.reshape(-1, m)
+    out.flags.writeable = False
+    return out
+
+
+def _order_chunks(n):
+    """The rows of itertools.permutations(range(n)), in the same order, as
+    int64 arrays of _PERM_CHUNK rows (the last one may be shorter)."""
+    m = min(n, _TAIL)
+    tail = _lex_orders(m)
+    pending, size = [], 0
+    for head in itertools.permutations(range(n), n - m):
+        rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int64)
+        block = np.empty((tail.shape[0], n), dtype=np.int64)
+        block[:, : n - m] = head
+        block[:, n - m :] = rest[tail]
+        pending.append(block)
+        size += block.shape[0]
+        if size >= _PERM_CHUNK:
+            rows = np.concatenate(pending)
+            cut = size - size % _PERM_CHUNK
+            yield from np.split(rows[:cut], cut // _PERM_CHUNK)
+            pending, size = [rows[cut:]], size - cut
+    if size:
+        yield np.concatenate(pending)
 
 
 def coalition_table(game, points):
@@ -49,11 +93,7 @@ def shapley_by_permutations(game, points, table=None):
         table = coalition_table(game, points)
     phi = np.zeros(n)
     total = 0
-    perms = itertools.permutations(range(n))
-    while True:
-        chunk = np.array(list(itertools.islice(perms, _PERM_CHUNK)), dtype=np.int64)
-        if chunk.size == 0:
-            break
+    for chunk in _order_chunks(n):
         total += chunk.shape[0]
         mask = np.zeros(chunk.shape[0], dtype=np.int64)
         for k in range(n):

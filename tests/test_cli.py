@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from geoshapley import cli, hull
+from geoshapley import cli, hull, oracle
 from geoshapley.cli import (
     ParseError,
     ResultRecord,
@@ -292,6 +292,16 @@ READER_CASES = [
     ("csv-upper-header", "X,Y\n1,2\n3,4\n", [[1, 2], [3, 4]]),
     ("csv-swapped-header", "y,x\n1,2\n3,4\n", [[2, 1], [4, 3]]),
     ("csv-x-only-header", "x\n1\n2\n", [[1, 0], [2, 0]]),
+    (
+        "csv-header-column-missing",
+        "y,x\n1\n2\n",
+        _error("header names column 'x' at position 2, but the rows have 1 column(s)"),
+    ),
+    (
+        "csv-header-y-column-missing",
+        "x,a,y\n1,2\n3,4\n",
+        _error("header names column 'y' at position 3, but the rows have 2 column(s)"),
+    ),
     ("csv-empty-cell", "1,,2\n3,4\n", [[1, 2], [3, 4]]),
     ("csv-trailing-comma", "1,2,\n3,4,\n", [[1, 2], [3, 4]]),
     ("csv-all-empty-row", "1,2\n,,\n3,4\n", [[1, 2], [3, 4]]),
@@ -368,6 +378,13 @@ class TestReadPoints:
         code, _, err = run(capsys, "compute", "--game", "airport", "--input", str(path))
         assert code == 1
         assert "nonempty list" in err and "Traceback" not in err
+
+    def test_header_column_missing_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("y,x\n1\n2\n")
+        code, _, err = run(capsys, "compute", "--game", "airport", "--input", str(path))
+        assert code == 1
+        assert "header names column 'x'" in err and "Traceback" not in err
 
 
 # Each row holds the same six awkward doubles in a different order.
@@ -446,7 +463,127 @@ def test_non_finite_coordinates_exit_2(tmp_path, capsys, game, text):
     assert "finite" in err
 
 
+# `verify --games all --nmin 3 --nmax 6 --instances 2 --seed 7`, as printed
+# by the implementation that built a separate coalition table per oracle and
+# enumerated the orders through itertools alone.
+_GOLDEN_VERIFY = """\
+hull-area fast max_discrepancy=1.577e-15 PASS
+hull-area naive max_discrepancy=1.420e-15 PASS
+hull-area oracle-subset max_discrepancy=1.598e-15 PASS
+hull-perimeter fast max_discrepancy=2.167e-15 PASS
+hull-perimeter naive max_discrepancy=2.167e-15 PASS
+hull-perimeter oracle-subset max_discrepancy=1.858e-15 PASS
+disk-area fast max_discrepancy=2.042e-15 PASS
+disk-area naive max_discrepancy=2.216e-15 PASS
+disk-area oracle-subset max_discrepancy=1.286e-15 PASS
+disk-perimeter fast max_discrepancy=1.660e-15 PASS
+disk-perimeter naive max_discrepancy=2.102e-15 PASS
+disk-perimeter oracle-subset max_discrepancy=1.291e-15 PASS
+anchored-rects fast max_discrepancy=5.076e-15 PASS
+anchored-rects oracle-subset max_discrepancy=2.875e-15 PASS
+anchored-rects quadratic max_discrepancy=5.076e-15 PASS
+bbox-area fast max_discrepancy=2.161e-15 PASS
+bbox-area oracle-subset max_discrepancy=1.080e-15 PASS
+bbox-area quadratic max_discrepancy=3.757e-15 PASS
+anchored-bbox-area fast max_discrepancy=1.811e-15 PASS
+anchored-bbox-area oracle-subset max_discrepancy=1.691e-15 PASS
+anchored-bbox-area quadratic max_discrepancy=1.691e-15 PASS
+airport fast max_discrepancy=2.657e-15 PASS
+airport oracle-subset max_discrepancy=2.453e-15 PASS
+interval-length fast max_discrepancy=2.578e-15 PASS
+interval-length oracle-subset max_discrepancy=2.274e-15 PASS
+area-band fast max_discrepancy=1.538e-15 PASS
+area-band oracle-subset max_discrepancy=1.758e-15 PASS
+bbox-perimeter fast max_discrepancy=1.263e-15 PASS
+bbox-perimeter oracle-subset max_discrepancy=1.706e-15 PASS
+anchored-bbox-perimeter fast max_discrepancy=2.893e-15 PASS
+anchored-bbox-perimeter oracle-subset max_discrepancy=2.893e-15 PASS
+VERIFY PASSED
+"""
+
+
 class TestVerify:
+    def test_golden_report(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--games", "all", "--nmin", "3", "--nmax", "6",
+            "--instances", "2", "--seed", "7",
+        )
+        assert code == 0
+        assert out == _GOLDEN_VERIFY
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--nmin", "0"], "--nmin must be at least 1, got 0"),
+            (["--nmin", "5", "--nmax", "3"], "--nmax must be at least --nmin=5, got 3"),
+            (["--instances", "0"], "--instances must be at least 1, got 0"),
+        ],
+        ids=["nmin-0", "nmax-below-nmin", "instances-0"],
+    )
+    def test_empty_run_rejected(self, capsys, monkeypatch, args, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify did work before checking its arguments")
+
+        monkeypatch.setattr(cli, "verification_suite", no_work)
+        code, out, err = run(capsys, "verify", "--games", "airport", *args)
+        assert code == 2
+        assert out == ""
+        assert err == f"error (validation): {message}\n"
+
+    def test_one_coalition_table_per_instance(self, capsys, monkeypatch):
+        calls = []
+        table = oracle.coalition_table
+
+        def counted(game, pts):
+            calls.append((game, len(pts)))
+            return table(game, pts)
+
+        monkeypatch.setattr(oracle, "coalition_table", counted)
+        code, out, _ = run(
+            capsys, "verify", "--games", "hull-area,airport,bbox-area", "--nmin", "3",
+            "--nmax", "5", "--instances", "2",
+        )
+        assert code == 0 and "VERIFY PASSED" in out
+        want = [(g, n) for g in ("hull-area", "airport", "bbox-area") for n in (3, 4, 5)]
+        assert calls == [c for c in want for _ in range(2)]
+
+    def test_table_above_permutation_limit_built_by_subset_oracle(self, capsys, monkeypatch):
+        calls = []
+        table = oracle.coalition_table
+
+        def counted(game, pts):
+            calls.append(len(pts))
+            return table(game, pts)
+
+        monkeypatch.setattr(oracle, "coalition_table", counted)
+        n = oracle.PERMUTATION_LIMIT + 1
+        code, out, _ = run(
+            capsys, "verify", "--games", "bbox-area", "--nmin", str(n), "--nmax", str(n),
+            "--instances", "1",
+        )
+        assert code == 0 and "bbox-area oracle-subset" in out
+        assert calls == [n]
+
+    def test_faulty_subset_oracle_caught_with_shared_table(self, capsys, monkeypatch):
+        by_subsets = oracle.shapley_by_subsets
+        shared = []
+
+        def faulty(game, points, table=None):
+            shared.append(table is not None)
+            sv = by_subsets(game, points, table=table)
+            sv.values = sv.values * (1.0 + 1e-6)
+            return sv
+
+        monkeypatch.setattr(oracle, "shapley_by_subsets", faulty)
+        code, out, _ = run(
+            capsys, "verify", "--games", "hull-area", "--nmin", "4", "--nmax", "5",
+            "--instances", "2",
+        )
+        assert code == 4
+        assert "hull-area oracle-subset" in out and "FAIL" in out
+        assert shared and all(shared)
+        assert "VERIFY FAILED: hull-area/oracle-subset" in out
+
     def test_small_run_passes(self, capsys):
         code, out, _ = run(
             capsys,

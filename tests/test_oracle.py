@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from geoshapley import oracle
 from geoshapley.errors import SizeLimitError
 from geoshapley.games import GAME_KINDS
 from geoshapley.oracle import (
@@ -101,3 +103,65 @@ class TestCrossOracle:
         for game in ("disk-area", "bbox-perimeter", "hull-perimeter"):
             sv = shapley_by_subsets(game, pts)
             assert abs(sv.values[0] - sv.values[1]) <= 1e-12
+
+
+def _itertools_chunks(n):
+    """itertools.permutations(range(n)) cut into _PERM_CHUNK-row arrays."""
+    perms = itertools.permutations(range(n))
+    while True:
+        chunk = np.array(list(itertools.islice(perms, oracle._PERM_CHUNK)), dtype=np.int64)
+        if chunk.size == 0:
+            return
+        yield chunk
+
+
+def _assert_same_chunks(n):
+    got = list(oracle._order_chunks(n))
+    want = list(_itertools_chunks(n))
+    assert [c.shape for c in got] == [c.shape for c in want]
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def _shapley_by_permutations_itertools(table, n):
+    """The marginal-contribution loop over itertools chunks."""
+    phi = np.zeros(n)
+    total = 0
+    for chunk in _itertools_chunks(n):
+        total += chunk.shape[0]
+        mask = np.zeros(chunk.shape[0], dtype=np.int64)
+        for k in range(n):
+            pid = chunk[:, k]
+            new_mask = mask | (np.int64(1) << pid)
+            delta = table[new_mask] - table[mask]
+            phi += np.bincount(pid, weights=delta, minlength=n)
+            mask = new_mask
+    return phi / total
+
+
+class TestOrderChunks:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_same_rows_order_and_boundaries(self, n):
+        _assert_same_chunks(n)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 120, 719, 5040])
+    def test_boundaries_inside_and_across_blocks(self, monkeypatch, chunk):
+        monkeypatch.setattr(oracle, "_PERM_CHUNK", chunk)
+        for n in range(1, 8):
+            _assert_same_chunks(n)
+        monkeypatch.setattr(oracle, "_TAIL", 3)
+        for n in range(1, 8):
+            _assert_same_chunks(n)
+
+    def test_lex_orders_read_only(self):
+        with pytest.raises(ValueError):
+            oracle._lex_orders(4)[0, 0] = 1
+
+    @pytest.mark.parametrize("game", ["hull-area", "disk-area", "bbox-area"])
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_bit_identical_to_itertools_loop(self, rng, game, n):
+        pts = random_plane_points(rng, n)
+        table = coalition_table(game, pts)
+        want = _shapley_by_permutations_itertools(table, n)
+        assert np.array_equal(shapley_by_permutations(game, pts, table=table).values, want)
+        assert np.array_equal(shapley_by_permutations(game, pts).values, want)
