@@ -39,7 +39,6 @@ from .errors import (
 )
 from .games import (
     GAME_KINDS,
-    CharacteristicFunction,
     ShapleyVector,
     eval_characteristic,
     shapley_airport,

@@ -245,6 +245,8 @@ def cmd_compute(cfg: RunConfig):
 
 
 def _reference_algorithm(game, n):
+    """oracle-perm up to its guard, then the quadratic or naive engine,
+    then oracle-subset up to its guard; None when none applies."""
     if n <= oracle.PERMUTATION_LIMIT:
         return "oracle-perm"
     for cand in ("quadratic", "naive"):
@@ -253,6 +255,8 @@ def _reference_algorithm(game, n):
             return cand
         except DomainError:
             continue
+    if n <= oracle.SUBSET_LIMIT:
+        return "oracle-subset"
     return None
 
 
@@ -289,6 +293,11 @@ def _verify_solutions(game, pts, ref_name, algos):
 def cmd_verify(args):
     _check_verify_args(args)
     games_list = _games_from_arg(args.games)
+    for game in games_list:
+        for n in range(args.nmin, args.nmax + 1):
+            if _reference_algorithm(game, n) is None:
+                print(f"VERIFY FAILED: no reference for {game} at n={n}")
+                return EXIT_INTERNAL
     rng = np.random.default_rng(args.seed)
     failed = []
     lines = []
@@ -304,8 +313,6 @@ def cmd_verify(args):
             for pts in instances:
                 ref_name = _reference_algorithm(game, n)
                 algos = [a for a in algorithms_for(game, n) if a != ref_name]
-                if ref_name is None:
-                    continue
                 ref, got = _verify_solutions(game, pts, ref_name, algos)
                 scale = np.maximum(np.abs(ref), 1e-3)
                 for algo, values in got.items():

@@ -117,25 +117,6 @@ def eval_characteristic(game, q_points, full_points=None):
     )
 
 
-class CharacteristicFunction:
-    """Callable v(Q) bound to a fixed player set, keyed by index arrays.
-
-    Pure and stateless; subset caching is left to callers (the oracle
-    caches per-subset values keyed by bitmask).
-    """
-
-    def __init__(self, game, points):
-        check_game(game)
-        self.game = game
-        self.points = geometry.as_points(points)
-
-    def __call__(self, indices):
-        idx = np.asarray(indices, dtype=int)
-        if idx.size == 0:
-            return 0.0
-        return eval_characteristic(self.game, self.points[idx], self.points)
-
-
 def _airport_values(coords):
     """Littlechild-Owen recurrence; accepts zeros and ties (gap 0)."""
     x = np.asarray(coords, dtype=float)

@@ -5,6 +5,18 @@ contributions over all n! insertion orders, and the weighted subset-sum
 formula.  Both read coalition values from a dense 2^n table keyed by
 bitmask; a caller that runs both on one instance can build the table once
 and pass it to each.
+
+The table is built with array operations over blocks of masks, one formula
+per game family, and calls no engine code:
+
+- box and line games: per-coordinate min and max by doubling over the bits,
+  then the game's float expression (bit-identical to one evaluation per set);
+- hull games: (i, j) is a ccw edge of S iff no other member of S lies
+  strictly right of i->j, or on its line outside the open segment; v sums
+  the shoelace terms (area) or the lengths (perimeter) of the edges;
+- disk games: v is the measure of the largest basis disk (a pair, or a
+  non-obtuse triple) with B in S and S inside the disk, which is MED(S);
+- anchored-rects: per quadrant, a staircase over the members sorted by |x|.
 """
 
 from __future__ import annotations
@@ -14,8 +26,9 @@ import itertools
 
 import numpy as np
 
-from .errors import SizeLimitError
-from .games import CharacteristicFunction, ShapleyVector
+from .errors import DomainError, SizeLimitError
+from .games import ShapleyVector, check_game
+from .geometry import as_points
 
 PERMUTATION_LIMIT = 10
 SUBSET_LIMIT = 22
@@ -25,6 +38,19 @@ _PERM_CHUNK = 200_000
 # Orders are enumerated as a head from itertools followed by every order of
 # the remaining (at most) _TAIL players, taken from one cached table.
 _TAIL = 8
+
+# Masks per block of the coalition table (a power of two), and hull edges or
+# disk bases tested against one block at a time: the working set stays
+# O(_BLOCK * _ROWS) up to n = SUBSET_LIMIT.
+_BLOCK = 1 << 12
+_ROWS = 128
+
+# Three points are collinear when |cross| <= _FLAT_TOL * (longest side)^2.
+_FLAT_TOL = 1e-12
+# A point is inside a basis disk when its squared distance to the centre is
+# at most r^2 * (1 + _INSIDE_TOL).  Any slack above rounding is safe: every
+# basis B in S has r(B) <= r(S), so the largest qualifying disk is MED(S).
+_INSIDE_TOL = 1e-9
 
 
 @functools.cache
@@ -48,6 +74,10 @@ def _order_chunks(n):
     int64 arrays of _PERM_CHUNK rows (the last one may be shorter)."""
     m = min(n, _TAIL)
     tail = _lex_orders(m)
+    if m == n:
+        for start in range(0, tail.shape[0], _PERM_CHUNK):
+            yield tail[start : start + _PERM_CHUNK]
+        return
     pending, size = [], 0
     for head in itertools.permutations(range(n), n - m):
         rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int64)
@@ -65,26 +95,199 @@ def _order_chunks(n):
         yield np.concatenate(pending)
 
 
+def _anchored_width(lo, hi):
+    return np.maximum(hi, 0.0) - np.minimum(lo, 0.0)
+
+
+# v from the per-mask extents lx, hx, ly, hy and the full set's y extent.
+_BOX_VALUES = {
+    "bbox-area": lambda lx, hx, ly, hy, band: (hx - lx) * (hy - ly),
+    "anchored-bbox-area": lambda lx, hx, ly, hy, band: (
+        _anchored_width(lx, hx) * _anchored_width(ly, hy)
+    ),
+    "airport": lambda lx, hx, ly, hy, band: hx,
+    "interval-length": lambda lx, hx, ly, hy, band: hx - lx,
+    "area-band": lambda lx, hx, ly, hy, band: band * (hx - lx),
+    "bbox-perimeter": lambda lx, hx, ly, hy, band: 2.0 * (hx - lx) + 2.0 * (hy - ly),
+    "anchored-bbox-perimeter": lambda lx, hx, ly, hy, band: (
+        2.0 * _anchored_width(lx, hx) + 2.0 * _anchored_width(ly, hy)
+    ),
+}
+
+
+def _box_block(value, pts, start, size):
+    """v over masks start..start+size-1 from per-coordinate extents.
+
+    ``size`` is a power of two 2^k and ``start`` a multiple of it: the bits
+    at and above k are fixed in the block and seed the extents of its first
+    mask, and bit b < k doubles them, lo[s:2s] = min(lo[:s], p_b).
+    """
+    n = pts.shape[0]
+    k = size.bit_length() - 1
+    fixed = pts[k:][(start >> np.arange(k, n)) & 1 == 1]
+    lo = np.empty((size, 2))
+    hi = np.empty((size, 2))
+    lo[0] = fixed.min(axis=0) if fixed.size else np.inf
+    hi[0] = fixed.max(axis=0) if fixed.size else -np.inf
+    for b in range(k):
+        s = 1 << b
+        np.minimum(lo[:s], pts[b], out=lo[s : 2 * s])
+        np.maximum(hi[:s], pts[b], out=hi[s : 2 * s])
+    if start == 0:
+        lo[0] = hi[0] = 0.0  # the empty set: every formula gives 0
+    band = float(pts[:, 1].max() - pts[:, 1].min())
+    return value(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], band)
+
+
+def _row_block(cover, need, value, ufunc, start, size):
+    """ufunc over the rows r with mask & cover[r] == need[r] of value[r]
+    (0 where no row holds), for masks start..start+size-1."""
+    masks = np.arange(start, start + size, dtype=np.int64)
+    out = np.zeros(size)
+    for r in range(0, need.size, _ROWS):
+        rows = slice(r, r + _ROWS)
+        hit = (masks[:, None] & cover[rows]) == need[rows]
+        ufunc(out, ufunc.reduce(np.where(hit, value[rows], 0.0), axis=1), out=out)
+    return out
+
+
+def _hull_edges(game, pts):
+    """(cover, need, value) rows, one per ordered pair of distinct points.
+
+    A point k rules out the edge i->j when it lies strictly right of it, or
+    on its line but not strictly between i and j.  Of coincident points only
+    the lowest-indexed member of S counts, so a duplicate of an endpoint
+    with a larger index rules nothing out.  Orientation is decided once per
+    unordered triple, so no pair of tests on a triple can disagree.  A set
+    on one line keeps both directed edges between its extremes: area 0 and
+    the doubled-segment perimeter.
+    """
+    n = pts.shape[0]
+    d = pts[None, :, :] - pts[:, None, :]  # d[i, j] = p_j - p_i
+    cross = d[:, :, None, 0] * d[:, None, :, 1] - d[:, :, None, 1] * d[:, None, :, 0]
+    dot = np.einsum("ijc,ikc->ijk", d, d)  # (p_j - p_i) . (p_k - p_i)
+    sq = np.einsum("ijc,ijc->ij", d, d)
+    i, j, k = np.indices((n, n, n))
+    a, b, c = np.sort(np.stack((i, j, k)), axis=0)
+    side = np.where((i > j) ^ (i > k) ^ (j > k), -1.0, 1.0) * cross[a, b, c]
+    flat = np.abs(side) <= _FLAT_TOL * np.maximum(np.maximum(sq[a, b], sq[a, c]), sq[b, c])
+    between = (dot > 0.0) & (dot.transpose(1, 0, 2) > 0.0)
+    same = np.all(d == 0.0, axis=2)
+    rules_out = ((side < 0.0) & ~flat) | (flat & ~between)
+    rules_out &= (k != i) & (k != j)
+    rules_out &= ~(same[:, None, :] & (k > i)) & ~(same[None, :, :] & (k > j))
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    ei, ej = np.nonzero(~same)
+    need = bits[ei] | bits[ej]
+    cover = need | (rules_out[ei, ej] * bits).sum(axis=1)
+    if game == "hull-area":
+        value = 0.5 * (pts[ei, 0] * pts[ej, 1] - pts[ej, 0] * pts[ei, 1])
+    else:
+        value = np.hypot(d[ei, ej, 0], d[ei, ej, 1])
+    return cover, need, value
+
+
+def _disk_bases(game, pts):
+    """(cover, need, value) rows, one per pair and per non-obtuse triple:
+    need marks the basis, and cover adds the points outside its disk."""
+    n = pts.shape[0]
+    pi, pj = np.triu_indices(n, 1)
+    i, j, k = np.indices((n, n, n))
+    ti, tj, tk = (x[(i < j) & (j < k)] for x in (i, j, k))
+    ab, ac, bc = pts[tj] - pts[ti], pts[tk] - pts[ti], pts[tk] - pts[tj]
+    den = 2.0 * (ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+    acute = (
+        (np.einsum("tc,tc->t", ab, ac) >= 0.0)
+        & (np.einsum("tc,tc->t", ab, bc) <= 0.0)
+        & (np.einsum("tc,tc->t", ac, bc) >= 0.0)
+        & (den != 0.0)
+    )
+    ti, tj, tk, ab, ac, den = ti[acute], tj[acute], tk[acute], ab[acute], ac[acute], den[acute]
+    ab2 = np.einsum("tc,tc->t", ab, ab)
+    ac2 = np.einsum("tc,tc->t", ac, ac)
+    circ = pts[ti] + np.column_stack(
+        (ac[:, 1] * ab2 - ab[:, 1] * ac2, ab[:, 0] * ac2 - ac[:, 0] * ab2)
+    ) / den[:, None]
+    circ_r = np.max([np.hypot(*(circ - pts[t]).T) for t in (ti, tj, tk)], axis=0)
+    centre = np.concatenate((0.5 * (pts[pi] + pts[pj]), circ))
+    r = np.concatenate((0.5 * np.hypot(*(pts[pi] - pts[pj]).T), circ_r))
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    need = np.concatenate((bits[pi] | bits[pj], bits[ti] | bits[tj] | bits[tk]))
+    dist2 = np.einsum("qkc,qkc->qk", pts - centre[:, None, :], pts - centre[:, None, :])
+    outside = dist2 > (r * r * (1.0 + _INSIDE_TOL))[:, None]
+    cover = need | (outside * bits).sum(axis=1)
+    value = np.pi * r * r if game == "disk-area" else 2.0 * np.pi * r
+    return cover, need, value
+
+
+def _staircase_block(stairs, start, size):
+    """Union area of origin-anchored rectangles over masks start..start+size-1.
+
+    ``stairs`` holds, per open quadrant, the point indices sorted by |x|,
+    their |y| and the |x| gaps from 0: the union's height over a gap is the
+    largest |y| among the members at or after it.
+    """
+    masks = np.arange(start, start + size, dtype=np.int64)
+    out = np.zeros(size)
+    for order, heights, widths in stairs:
+        member = (masks[:, None] >> order) & 1 == 1
+        reach = np.where(member, heights, 0.0)[:, ::-1]
+        np.maximum.accumulate(reach, axis=1, out=reach)
+        out += (reach[:, ::-1] * widths).sum(axis=1)
+    return out
+
+
+def _anchored_stairs(pts):
+    ax = np.abs(pts)
+    stairs = []
+    for qx, qy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+        sel = np.nonzero((np.sign(pts[:, 0]) == qx) & (np.sign(pts[:, 1]) == qy))[0]
+        if sel.size:
+            order = sel[np.argsort(ax[sel, 0], kind="stable")]
+            widths = np.diff(ax[order, 0], prepend=0.0)
+            stairs.append((order, ax[order, 1], widths))
+    return stairs
+
+
+def _block_values(game, pts):
+    """A function (start, size) -> v for masks start..start+size-1."""
+    if game in ("hull-area", "hull-perimeter"):
+        return functools.partial(_row_block, *_hull_edges(game, pts), np.add)
+    if game in ("disk-area", "disk-perimeter"):
+        return functools.partial(_row_block, *_disk_bases(game, pts), np.maximum)
+    if game == "anchored-rects":
+        return functools.partial(_staircase_block, _anchored_stairs(pts))
+    if game == "airport" and np.any(pts[:, 0] <= 0.0):
+        raise DomainError("airport game requires strictly positive coordinates")
+    return functools.partial(_box_block, _BOX_VALUES[game], pts)
+
+
 def coalition_table(game, points):
     """Dense table v[mask] for all 2^n coalitions (v[0] = 0)."""
-    char = CharacteristicFunction(game, points)
-    n = char.points.shape[0]
+    check_game(game)
+    pts = as_points(points)
+    n = pts.shape[0]
     if n > SUBSET_LIMIT:
         raise SizeLimitError(
             f"2^{n} coalition table exceeds the 2^{SUBSET_LIMIT} guard"
         )
-    table = np.zeros(1 << n)
-    index = np.arange(n)
-    for mask in range(1, 1 << n):
-        members = index[(mask >> index) & 1 == 1]
-        table[mask] = char(members)
+    block = _block_values(game, pts)
+    size = min(1 << n, _BLOCK)
+    table = np.empty(1 << n)
+    for start in range(0, 1 << n, size):
+        table[start : start + size] = block(start, size)
+    table[0] = 0.0
     return table
+
+
+def _player_count(game, points):
+    check_game(game)
+    return as_points(points).shape[0]
 
 
 def shapley_by_permutations(game, points, table=None):
     """Exact average of marginal contributions over all n! orders."""
-    char = CharacteristicFunction(game, points)
-    n = char.points.shape[0]
+    n = _player_count(game, points)
     if n > PERMUTATION_LIMIT:
         raise SizeLimitError(
             f"n={n} exceeds the n<={PERMUTATION_LIMIT} permutation guard"
@@ -112,8 +315,7 @@ def shapley_by_subsets(game, points, table=None):
     The weights |S|! (n-|S|-1)! / n! are built by a running product of
     ratios s/(n-s), so nothing overflows past n = 20.
     """
-    char = CharacteristicFunction(game, points)
-    n = char.points.shape[0]
+    n = _player_count(game, points)
     if n > SUBSET_LIMIT:
         raise SizeLimitError(f"n={n} exceeds the n<={SUBSET_LIMIT} subset guard")
     if table is None:

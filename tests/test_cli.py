@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from geoshapley import cli, hull, oracle
+from geoshapley import cli, games, hull, oracle
 from geoshapley.cli import (
     ParseError,
     ResultRecord,
@@ -13,6 +13,7 @@ from geoshapley.cli import (
     record_to_csv,
     record_to_json,
 )
+from geoshapley.dispatch import algorithms_for
 from geoshapley.games import GAME_KINDS
 
 from conftest import assert_close, on_circle
@@ -46,6 +47,19 @@ class TestCompute:
         values = [v["shapley"] for v in data["values"]]
         assert_close(values, [values[0]] * 3, rel=1e-9)
         assert_close(sum(values), data["total"], rel=1e-9)
+
+    @pytest.mark.parametrize("game", ["hull-area", "disk-area", "bbox-area"])
+    def test_subset_oracle_matches_fast_engine_at_16(self, tmp_path, capsys, game):
+        pts = np.random.default_rng(16).uniform(-10.0, 10.0, size=(16, 2))
+        path = _write_points(tmp_path / "pts.csv", pts)
+        values = {}
+        for algo in ("fast", "oracle-subset"):
+            code, out, _ = run(
+                capsys, "compute", "--game", game, "--algorithm", algo, "--input", path
+            )
+            assert code == 0
+            values[algo] = [v["shapley"] for v in json.loads(out)["values"]]
+        assert_close(values["oracle-subset"], values["fast"], rel=1e-9)
 
     def test_perm_oracle_size_guard_exit_3(self, tmp_path, capsys):
         pts = np.column_stack([np.arange(1.0, 12.0), np.arange(1.0, 12.0) ** 2])
@@ -463,25 +477,26 @@ def test_non_finite_coordinates_exit_2(tmp_path, capsys, game, text):
     assert "finite" in err
 
 
-# `verify --games all --nmin 3 --nmax 6 --instances 2 --seed 7`, as printed
-# by the implementation that built a separate coalition table per oracle and
-# enumerated the orders through itertools alone.
+# `verify --games all --nmin 3 --nmax 6 --instances 2 --seed 7`.  The box
+# and line lines are those of the per-subset coalition table, which the
+# batched table matches bit for bit.  The hull, disk and anchored-rects lines
+# are those of the batched table, whose sums run in another order.
 _GOLDEN_VERIFY = """\
-hull-area fast max_discrepancy=1.577e-15 PASS
-hull-area naive max_discrepancy=1.420e-15 PASS
+hull-area fast max_discrepancy=1.598e-15 PASS
+hull-area naive max_discrepancy=1.598e-15 PASS
 hull-area oracle-subset max_discrepancy=1.598e-15 PASS
 hull-perimeter fast max_discrepancy=2.167e-15 PASS
 hull-perimeter naive max_discrepancy=2.167e-15 PASS
 hull-perimeter oracle-subset max_discrepancy=1.858e-15 PASS
-disk-area fast max_discrepancy=2.042e-15 PASS
-disk-area naive max_discrepancy=2.216e-15 PASS
+disk-area fast max_discrepancy=1.290e-15 PASS
+disk-area naive max_discrepancy=1.477e-15 PASS
 disk-area oracle-subset max_discrepancy=1.286e-15 PASS
 disk-perimeter fast max_discrepancy=1.660e-15 PASS
 disk-perimeter naive max_discrepancy=2.102e-15 PASS
 disk-perimeter oracle-subset max_discrepancy=1.291e-15 PASS
-anchored-rects fast max_discrepancy=5.076e-15 PASS
+anchored-rects fast max_discrepancy=5.288e-15 PASS
 anchored-rects oracle-subset max_discrepancy=2.875e-15 PASS
-anchored-rects quadratic max_discrepancy=5.076e-15 PASS
+anchored-rects quadratic max_discrepancy=5.288e-15 PASS
 bbox-area fast max_discrepancy=2.161e-15 PASS
 bbox-area oracle-subset max_discrepancy=1.080e-15 PASS
 bbox-area quadratic max_discrepancy=3.757e-15 PASS
@@ -563,6 +578,68 @@ class TestVerify:
         )
         assert code == 0 and "bbox-area oracle-subset" in out
         assert calls == [n]
+
+    @pytest.mark.parametrize(
+        "game, n, reference",
+        [
+            ("airport", 10, "oracle-perm"),
+            ("bbox-area", 11, "quadratic"),
+            ("hull-area", 11, "naive"),
+            ("airport", 11, "oracle-subset"),
+        ],
+    )
+    def test_reference_order(self, capsys, game, n, reference):
+        assert cli._reference_algorithm(game, n) == reference
+        code, out, _ = run(
+            capsys, "verify", "--games", game, "--nmin", str(n), "--nmax", str(n),
+            "--instances", "1",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "VERIFY PASSED"
+        checked = {line.split()[1] for line in lines[:-1]}
+        assert checked == set(algorithms_for(game, n)) - {reference}
+
+    def test_subset_reference_checks_line_games_past_permutation_limit(
+        self, capsys, monkeypatch
+    ):
+        code, out, _ = run(
+            capsys, "verify", "--games", "airport,bbox-perimeter", "--nmin", "11",
+            "--nmax", "12", "--instances", "2",
+        )
+        assert code == 0
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            ["airport", "fast"], ["bbox-perimeter", "fast"], ["VERIFY", "PASSED"],
+        ]
+
+        airport = games.shapley_airport
+
+        def faulty(coords):
+            sv = airport(coords)
+            sv.values = sv.values * (1.0 + 1e-6)
+            return sv
+
+        monkeypatch.setattr(games, "shapley_airport", faulty)
+        code, out, _ = run(
+            capsys, "verify", "--games", "airport", "--nmin", "11", "--nmax", "12",
+            "--instances", "1",
+        )
+        assert code == 4
+        assert out.splitlines()[-1] == "VERIFY FAILED: airport/fast"
+
+    def test_no_reference_exits_4_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify did work before finding every reference")
+
+        monkeypatch.setattr(cli, "verification_suite", no_work)
+        n = oracle.SUBSET_LIMIT + 1
+        code, out, err = run(
+            capsys, "verify", "--games", "hull-area,bbox-perimeter", "--nmin", str(n - 1),
+            "--nmax", str(n + 1), "--instances", "1",
+        )
+        assert code == 4
+        assert out == f"VERIFY FAILED: no reference for bbox-perimeter at n={n}\n"
+        assert err == ""
 
     def test_faulty_subset_oracle_caught_with_shared_table(self, capsys, monkeypatch):
         by_subsets = oracle.shapley_by_subsets

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geoshapley import oracle
-from geoshapley.errors import SizeLimitError
+from geoshapley.errors import DomainError, SizeLimitError
 from geoshapley.games import GAME_KINDS
 from geoshapley.oracle import (
     coalition_table,
@@ -14,6 +14,7 @@ from geoshapley.oracle import (
 )
 
 from conftest import assert_close, random_plane_points, random_points
+from subset_loop import subset_loop_table
 
 
 class TestPermutationOracle:
@@ -165,3 +166,75 @@ class TestOrderChunks:
         want = _shapley_by_permutations_itertools(table, n)
         assert np.array_equal(shapley_by_permutations(game, pts, table=table).values, want)
         assert np.array_equal(shapley_by_permutations(game, pts).values, want)
+
+
+# Games whose batched table repeats the per-subset float expression on the
+# exact per-coordinate extents; the others sum or compare in another order.
+_BIT_IDENTICAL = (
+    "bbox-area",
+    "anchored-bbox-area",
+    "airport",
+    "interval-length",
+    "area-band",
+    "bbox-perimeter",
+    "anchored-bbox-perimeter",
+)
+
+# Every prefix of each set is checked, so each also covers its smaller sizes.
+_DEGENERATE = {
+    "collinear-triples": [(0, 0), (1, 1), (2, 2), (3, -1), (-1, 2), (0.5, 3), (1.5, 3)],
+    "collinear-all": [(0, 1), (1, 3), (2, 5), (-1, -1), (3, 7), (0.5, 2), (-0.5, 0)],
+    "horizontal-line": [(0, 0), (1, 0), (2, 0), (3, 0), (-1, 0), (0.25, 0)],
+    "duplicates": [(1, 2), (1, 2), (3, 4), (0, 0), (3, 4), (-2, 1), (1, 2), (2, 3)],
+    "all-coincident": [(1, 1), (1, 1), (1, 1), (1, 1)],
+    "shared-x-or-y": [(1, 2), (1, 5), (3, 2), (4, 4), (-2, 5), (4, -1), (1, -1)],
+    "on-the-axes": [(0, 2), (3, 0), (-1, 0), (0, -4), (2, 3), (-2, -1), (0, 0), (-3, 2)],
+    "cocircular": [(3, 4), (4, 3), (-3, -4), (0, 5), (5, 0), (1, 1), (-4, 3), (-5, 0)],
+    "right-triangle": [(0, 0), (4, 0), (0, 3), (1, 1), (2, 1.5), (0.5, 2)],
+    "square-grid": [(x, y) for x in range(3) for y in range(3)],
+    "positive-ties": [(1, 1), (2, 3), (2, 3), (4, 1), (1, 5), (3, 3), (2, 0.5), (4, 4)],
+    "airport-zero-x": [(2, 1), (3, 2), (0, 1), (1, 4)],
+}
+
+
+def _assert_matches_loop(game, pts):
+    want = subset_loop_table(game, pts)
+    got = coalition_table(game, pts)
+    if game in _BIT_IDENTICAL:
+        assert np.array_equal(got, want), (game, pts)
+    else:
+        tol = 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= tol, (game, pts)
+
+
+class TestBatchedTable:
+    @pytest.mark.parametrize("game", GAME_KINDS)
+    def test_random_sets(self, rng, game):
+        for n in range(1, 11):
+            if game == "airport":
+                pts = random_points(rng, n)
+            else:
+                pts = random_plane_points(rng, n)
+            _assert_matches_loop(game, pts)
+
+    @pytest.mark.parametrize("name", sorted(_DEGENERATE))
+    @pytest.mark.parametrize("game", GAME_KINDS)
+    def test_degenerate_sets(self, game, name):
+        pts = np.array(_DEGENERATE[name], dtype=float)
+        for n in range(1, len(pts) + 1):
+            if game == "airport" and np.any(pts[:n, 0] <= 0.0):
+                with pytest.raises(DomainError) as want:
+                    subset_loop_table(game, pts[:n])
+                with pytest.raises(DomainError) as got:
+                    coalition_table(game, pts[:n])
+                assert str(got.value) == str(want.value)
+            else:
+                _assert_matches_loop(game, pts[:n])
+
+    @pytest.mark.parametrize("block", [1, 4, 64])
+    def test_block_size_does_not_change_bits(self, rng, monkeypatch, block):
+        pts = random_points(rng, 9)
+        want = {game: coalition_table(game, pts) for game in GAME_KINDS}
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        for game in GAME_KINDS:
+            assert np.array_equal(coalition_table(game, pts), want[game]), game
