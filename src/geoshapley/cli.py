@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -63,9 +64,22 @@ class ResultRecord:
 # Rows per bulk step of the CSV reader and of both writers.
 _CHUNK = 4096
 
+# The CSV reader splits its text in blocks of about this many characters,
+# the JSON reader its "points" list in pieces of about this many.
+_TEXT_BLOCK = 1 << 18
+_JSON_PIECE = 1 << 16
+
 # For a Python float, "%.17g" renders the same bytes as _fmt.
 _JSON_ROW = '{"index":%d,"point":[%.17g,%.17g],"shapley":%.17g}'
 _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
+
+# The text of a JSON document {"points": [...]} before its first element,
+# and from the list's closing "]" on.  Only JSON's own whitespace counts.
+_JSON_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"points"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
+_JSON_TAIL = re.compile(r"\][ \t\n\r]*\}[ \t\n\r]*")
+# The separator after an [x, y] element, and after a number.
+_NESTED_CUT = re.compile(r"\][ \t\n\r]*,")
+_FLAT_CUT = re.compile(",")
 
 
 def _fmt(v):
@@ -82,20 +96,10 @@ def read_points(path):
                 text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-            pts = np.asarray(data["points"], dtype=float)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad JSON input: {exc}") from exc
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[1] not in (1, 2) or pts.shape[0] == 0:
-            raise ParseError("JSON 'points' must be a nonempty list of [x, y]")
-        if pts.shape[1] == 1:
-            pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])
-        return pts
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    if re.match(r"\s*\{", text):
+        return _read_json(text)
     arr, header = _parse_csv(text)
     if header is not None and "x" in header:
         for name in ("x", "y"):
@@ -116,6 +120,75 @@ def read_points(path):
     raise ParseError("expected 1 or 2 unnamed columns (or a header naming x,y)")
 
 
+def _read_json(text):
+    pts = _json_pieces(text)
+    if pts is None:
+        try:
+            pts = np.asarray(json.loads(text)["points"], dtype=float)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad JSON input: {exc}") from exc
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[1] not in (1, 2) or pts.shape[0] == 0:
+        raise ParseError("JSON 'points' must be a nonempty list of [x, y]")
+    if pts.shape[1] == 1:
+        pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])
+    return pts
+
+
+def _json_pieces(text):
+    """The "points" array of a document whose only key is "points", parsed
+    in pieces of about _JSON_PIECE characters; None when the document has
+    another shape or a piece does not parse to a nonempty array of numbers
+    or of rows of one width, 1 or 2.
+
+    Each piece ends at a separator between two elements and is parsed as
+    a list of its own.  When every piece parses, the pieces' elements are
+    exactly the list's elements, so the result is that of the whole text.
+    """
+    head = _JSON_HEAD.match(text)
+    end = text.rfind("]")
+    if head is None or end <= head.end() or not _JSON_TAIL.fullmatch(text, end):
+        return None
+    lo = head.end()
+    cut = _NESTED_CUT if text[lo] == "[" else _FLAT_CUT
+    parts = []
+    while True:
+        m = cut.search(text, lo + _JSON_PIECE, end)
+        hi = m.end() - 1 if m else end
+        try:
+            part = np.asarray(json.loads("[" + text[lo:hi] + "]"), dtype=float)
+        except (ValueError, TypeError, OverflowError, RecursionError):
+            return None
+        if part.size == 0 or part.shape[1:] not in ((), (1,), (2,)):
+            return None
+        if parts and part.shape[1:] != parts[0].shape[1:]:
+            return None
+        parts.append(part)
+        if m is None:
+            return np.concatenate(parts)
+        lo = m.end()
+
+
+def _line_chunks(text):
+    """(number of the first line, lines) for runs of at most _CHUNK lines.
+
+    The text goes through str.splitlines in blocks of about _TEXT_BLOCK
+    characters, each cut just after a "\n".  Such a cut ends a line and
+    never splits a "\r\n", so the blocks' lines are those of the whole text.
+    """
+    lineno = 1
+    lo = 0
+    while lo < len(text):
+        cut = text.find("\n", lo + _TEXT_BLOCK)
+        hi = len(text) if cut < 0 else cut + 1
+        lines = text[lo:hi].splitlines()
+        for k in range(0, len(lines), _CHUNK):
+            yield lineno + k, lines[k : k + _CHUNK]
+        lineno += len(lines)
+        lo = hi
+
+
 def _parse_csv(text):
     """Data rows of a CSV text as an (n, width) array, and the lower-cased
     header cells (None without a header).
@@ -126,13 +199,11 @@ def _parse_csv(text):
     commas and every cell parses is converted in one pass; any other chunk
     goes through the line-by-line loop, which reports the line number.
     """
-    lines = text.splitlines()
     blocks = []  # one flat float array per chunk
     header = None
     width = None
     ragged = False
-    for lo in range(0, len(lines), _CHUNK):
-        chunk = lines[lo : lo + _CHUNK]
+    for first, chunk in _line_chunks(text):
         if width is not None:
             body = [s for s in map(str.strip, chunk) if s and s[0] != "#"]
             if all(s.count(",") == width - 1 for s in body):
@@ -142,7 +213,7 @@ def _parse_csv(text):
                 except ValueError:
                     pass
         vals_of_chunk = []
-        for lineno, line in enumerate(chunk, lo + 1):
+        for lineno, line in enumerate(chunk, first):
             s = line.strip()
             if not s or s.startswith("#"):
                 continue
@@ -167,60 +238,52 @@ def _parse_csv(text):
     return np.concatenate(blocks).reshape(-1, width), header
 
 
-def _format_rows(rec, row, sep):
-    """Every row of a record through the %-template ``row``, ``sep``
-    between rows, formatted one chunk of rows at a time."""
+def record_pieces(rec: ResultRecord, fmt):
+    """The text of a record in ``fmt`` ("json" or "csv"): the head, then
+    one piece per _CHUNK rows, then the tail."""
+    nums = (_fmt(rec.total), _fmt(rec.efficiency_residual), _fmt(rec.wall_time_ms))
+    if fmt == "json":
+        yield '{"game":"%s","n":%d,"algorithm":"%s","values":[' % (rec.game, rec.n, rec.algorithm)
+        row, sep = _JSON_ROW, ","
+    else:
+        yield (
+            "# game=%s algorithm=%s n=%d total=%s efficiency_residual=%s wall_time_ms=%s\n"
+            "index,x,y,shapley\n" % (rec.game, rec.algorithm, rec.n, *nums)
+        )
+        row, sep = _CSV_ROW, ""
     pts = np.asarray(rec.points, dtype=float)
     values = np.asarray(rec.values, dtype=float)
-    chunks = []
     for lo in range(0, len(values), _CHUNK):
         hi = min(lo + _CHUNK, len(values))
         cols = (pts[lo:hi, 0].tolist(), pts[lo:hi, 1].tolist(), values[lo:hi].tolist())
-        chunks.append(sep.join(map(row.__mod__, zip(range(lo, hi), *cols))))
-    return sep.join(chunks)
+        yield (sep if lo else "") + sep.join(map(row.__mod__, zip(range(lo, hi), *cols)))
+    if fmt == "json":
+        yield '],"total":%s,"efficiency_residual":%s,"wall_time_ms":%s}' % nums
 
 
 def record_to_json(rec: ResultRecord):
-    vals = _format_rows(rec, _JSON_ROW, ",")
-    return (
-        '{"game":"%s","n":%d,"algorithm":"%s","values":[%s],'
-        '"total":%s,"efficiency_residual":%s,"wall_time_ms":%s}'
-        % (
-            rec.game,
-            rec.n,
-            rec.algorithm,
-            vals,
-            _fmt(rec.total),
-            _fmt(rec.efficiency_residual),
-            _fmt(rec.wall_time_ms),
-        )
-    )
+    return "".join(record_pieces(rec, "json"))
 
 
 def record_to_csv(rec: ResultRecord):
-    head = (
-        "# game=%s algorithm=%s n=%d total=%s efficiency_residual=%s wall_time_ms=%s\n"
-        "index,x,y,shapley\n"
-        % (
-            rec.game,
-            rec.algorithm,
-            rec.n,
-            _fmt(rec.total),
-            _fmt(rec.efficiency_residual),
-            _fmt(rec.wall_time_ms),
-        )
-    )
-    return head + _format_rows(rec, _CSV_ROW, "")
+    return "".join(record_pieces(rec, "csv"))
 
 
-def _write(path, text):
+def write_text(path, pieces):
+    """Write each piece of text as it comes, to the file or, for "-", to
+    stdout, which also gets a newline when the last piece does not end in
+    one."""
     if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for piece in pieces:
+            sys.stdout.write(piece)
+            last = piece
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
 
 
 def cmd_compute(cfg: RunConfig):
@@ -239,8 +302,7 @@ def cmd_compute(cfg: RunConfig):
         efficiency_residual=sv.efficiency_residual,
         wall_time_ms=elapsed_ms if cfg.timing else 0.0,
     )
-    text = record_to_json(rec) if cfg.output_format == "json" else record_to_csv(rec)
-    _write(cfg.output_path, text)
+    write_text(cfg.output_path, record_pieces(rec, cfg.output_format))
     return EXIT_OK
 
 
@@ -349,13 +411,27 @@ _DEFAULT_BENCH_SIZES = {
 }
 
 
+def _bench_sizes(arg):
+    sizes = []
+    for s in arg.split(","):
+        try:
+            n = int(s)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise DomainError(f"--sizes entry {s!r} is not an integer >= 1")
+        sizes.append(n)
+    return sizes
+
+
 def cmd_bench(args):
     games_list = _games_from_arg(args.games)
+    sizes_of = {g: _bench_sizes(args.sizes or _DEFAULT_BENCH_SIZES[g]) for g in games_list}
     rng = np.random.default_rng(args.seed)
     out_lines = ["game,algorithm,n,seconds"]
     slopes = []
     for game in games_list:
-        sizes = [int(s) for s in (args.sizes or _DEFAULT_BENCH_SIZES[game]).split(",")]
+        sizes = sizes_of[game]
         ns, ts = [], []
         for n in sizes:
             pts = (
@@ -374,8 +450,7 @@ def cmd_bench(args):
             slope = float(np.polyfit(np.log(ns), np.log(ts), 1)[0])
             slopes.append((game, slope))
             out_lines.append(f"# slope,{game},{args.algorithm},{slope:.4f}")
-    text = "\n".join(out_lines) + "\n"
-    _write(args.output, text)
+    write_text(args.output, ["\n".join(out_lines) + "\n"])
     return EXIT_OK
 
 

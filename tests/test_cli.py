@@ -1,5 +1,8 @@
+import io
 import json
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +334,7 @@ READER_CASES = [
     ("csv-empty-file", "", _error("no data rows in input")),
     ("csv-underscore-digits", "1_0,2\n", [[10, 2]]),
     ("csv-blank-and-comment-mid", "1,2\n\n# c\n  \n3,4\n", [[1, 2], [3, 4]]),
+    ("csv-bom-header", "\ufeffy,x\n1,5\n2,6\n3,7\n", [[5, 1], [6, 2], [7, 3]]),
     # Past the first 4096-line chunk.
     (
         "csv-ragged-at-5001",
@@ -359,6 +363,7 @@ READER_CASES = [
     ),
     ("csv-9000-rows-interleaved", _interleaved(9000), _numbered_points(9000)),
     ("json-one-column", '{"points": [[1],[2]]}', [[1, 0], [2, 0]]),
+    ("json-bom", '\ufeff{"points": [[1,2],[3,4]]}', [[1, 2], [3, 4]]),
     (
         "json-ragged",
         '{"points": [[1,2],[3]]}',
@@ -399,6 +404,150 @@ class TestReadPoints:
         code, _, err = run(capsys, "compute", "--game", "airport", "--input", str(path))
         assert code == 1
         assert "header names column 'x'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_bom_before_header(self, tmp_path, capsys, monkeypatch, source):
+        text = "\ufeffy,x\n1,5\n2,6\n3,7\n"
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            path = "-"
+        code, out, _ = run(capsys, "compute", "--game", "bbox-perimeter", "--input", str(path))
+        assert code == 0
+        assert [v["point"] for v in json.loads(out)["values"]] == [[5, 1], [6, 2], [7, 3]]
+
+
+def _outcome(read):
+    """What a reader call gives: the arrays' dtype, shape and bytes (and
+    any other part of the result), or the ParseError text."""
+    try:
+        got = read()
+    except ParseError as exc:
+        return str(exc)
+    return [
+        (x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
+        for x in (got if isinstance(got, tuple) else (got,))
+    ]
+
+
+def _json_streamed_and_whole(monkeypatch, text, piece):
+    """The JSON reader's outcome in pieces of `piece` characters, and with
+    the piecewise path switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_JSON_PIECE", piece)
+        streamed = _outcome(lambda: cli._read_json(text))
+        taken = cli._json_pieces(text) is not None
+        m.setattr(cli, "_json_pieces", lambda text: None)
+        whole = _outcome(lambda: cli._read_json(text))
+    return streamed, whole, taken
+
+
+def _csv_streamed_and_whole(monkeypatch, text, block):
+    """The CSV reader's outcome in blocks of `block` characters, and with
+    the whole text in one block (one str.splitlines over all of it)."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_TEXT_BLOCK", block)
+        streamed = _outcome(lambda: cli._parse_csv(text))
+        m.setattr(cli, "_TEXT_BLOCK", len(text) + 1)
+        whole = _outcome(lambda: cli._parse_csv(text))
+    return streamed, whole
+
+
+# Valid documents that the piecewise JSON path parses.
+JSON_STREAMED = [
+    ("non-finite", '{"points": [[NaN, 1], [Infinity, -Infinity], [-0.0, 2]]}'),
+    ("whitespace-in-elements", '\n{ "points" :\r\n[ [ 1.5 ,\n\t-2 ] ,\n[3 , 4e2 ]\n ]\n}\n'),
+    ("integers", '{"points": [[1, 2], [3, 9007199254740993], [-7, 0]]}'),
+    ("one-column", '{"points": [[1],[2],[3.5]]}'),
+    ("flat", '{"points": [1,2, 3.25 ,-4]}'),
+    ("strings-of-numbers", '{"points": [["1.5", 2], [3, "4"]]}'),
+]
+
+# Documents that must go through the whole-document path.
+JSON_FALLBACK = [
+    ("string-holding-cut", '{"points": [["a],", 1], [2, 3], [4, 5]]}'),
+    ("second-points-key", '{"points": [[1, 2], [3, 4]], "points": [[5, 6]]}'),
+    ("extra-key-after", '{"points": [[1, 2], [3, 4]], "meta": [1]}'),
+    ("extra-key-before", '{"meta": 1, "points": [[1, 2], [3, 4]]}'),
+    ("empty-list", '{"points": []}'),
+    ("ragged-element", '{"points": [[1, 2], [3, 4], [5], [6, 7]]}'),
+    ("flat-then-row", '{"points": [1, 2, [3, 4]]}'),
+    ("empty-rows", '{"points": [[], []]}'),
+    ("three-columns", '{"points": [[1, 2, 3], [4, 5, 6]]}'),
+    ("trailing-comma", '{"points": [[1, 2], [3, 4],]}'),
+    ("object-element", '{"points": [[1, 2], {"x": 3}]}'),
+    ("non-json-space", '{"points":\x0c[[1, 2], [3, 4]]}'),
+]
+
+
+class TestStreamedReaders:
+    """The block-wise CSV and piecewise JSON readers give what one pass
+    over the whole text gives: the same array bits or ParseError text."""
+
+    @pytest.mark.parametrize(
+        "text", [c[1] for c in JSON_STREAMED], ids=[c[0] for c in JSON_STREAMED]
+    )
+    def test_json_streamed(self, monkeypatch, text):
+        for piece in range(1, len(text) + 1):
+            streamed, whole, taken = _json_streamed_and_whole(monkeypatch, text, piece)
+            assert taken, piece
+            assert streamed == whole, piece
+
+    @pytest.mark.parametrize(
+        "text", [c[1] for c in JSON_FALLBACK], ids=[c[0] for c in JSON_FALLBACK]
+    )
+    def test_json_fallback(self, monkeypatch, text):
+        for piece in (1, 2, 3, 5, 8, cli._JSON_PIECE):
+            streamed, whole, taken = _json_streamed_and_whole(monkeypatch, text, piece)
+            assert not taken, piece
+            assert streamed == whole, piece
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 1000])
+    def test_json_cut_at_default_piece(self, monkeypatch, extra):
+        """Elements 25 characters apart, the first padded so that the "]"
+        of element k sits exactly _JSON_PIECE characters into the list;
+        the list ends one element before it, at it, one after, or later."""
+        k, pad = divmod(cli._JSON_PIECE - 22, 25)
+        rows = ["[%d.5, %d.25]" % (1000000 + i, 2000000 + i) for i in range(k + 2 + extra)]
+        rows[0] = rows[0].replace(" ", " " * (pad + 1))
+        assert len(", ".join(rows[: k + 1])) == cli._JSON_PIECE + 1
+        text = '{"points": [' + ", ".join(rows[: k + 1 + extra]) + "]}"
+        streamed, whole, taken = _json_streamed_and_whole(monkeypatch, text, cli._JSON_PIECE)
+        assert taken and streamed == whole
+        assert streamed[0][1] == (k + 1 + extra, 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2\r\n3,4\r\n5,6\n7,8\r\n",
+            "1,2\x0c3,4\n5,6\u20287,8\n9,10\x0c",
+            "1,\x0c2\n3,4\n",
+            "x,y\n1,2\n\n# c\n3,4\n5,6\n",
+            "x,y\n1,2\n3,4\nx,y\n5,6\n",
+            "# c\n\n1,2\r\n3\r\n4,5\n",
+            "1,2\r\n3,4\r\nfoo\r\n5,6\r\n",
+            "\r\n\r\n\n\n1,2",
+        ],
+    )
+    def test_csv_blocks(self, monkeypatch, text):
+        for block in range(1, len(text) + 1):
+            streamed, whole = _csv_streamed_and_whole(monkeypatch, text, block)
+            assert streamed == whole, block
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_csv_line_numbers_across_blocks(self, monkeypatch, bad):
+        """CRLF rows past the first block, and a bad line 300000."""
+        rows = _numbered_rows(299999)
+        text = "\n".join(rows[:100000]) + "\n" + "\r\n".join(rows[100000:]) + "\r\n"
+        text += "a,b\n1,2\n" if bad else "299999,599998.5\n"
+        assert len(text) > 10 * cli._TEXT_BLOCK
+        streamed, whole = _csv_streamed_and_whole(monkeypatch, text, cli._TEXT_BLOCK)
+        assert streamed == whole
+        if bad:
+            assert streamed == "line 300000: cannot parse 'a,b'"
+        else:
+            assert np.array_equal(cli._parse_csv(text)[0], _numbered_points(300000))
 
 
 # Each row holds the same six awkward doubles in a different order.
@@ -463,6 +612,21 @@ class TestWriters:
             "# game=bbox-area algorithm=auto n=%d total=1.5 efficiency_residual=0 "
             "wall_time_ms=0\nindex,x,y,shapley\n%s" % (n, want_csv)
         )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_streamed_writer(self, tmp_path, capsys, fmt, extra):
+        n = cli._CHUNK + extra
+        rng = np.random.default_rng(12)
+        rec = ResultRecord("airport", n, "auto", rng.uniform(-9, 9, (n, 2)),
+                           rng.standard_normal(n), 2.5, 1e-17, 3.25)
+        text = record_to_json(rec) if fmt == "json" else record_to_csv(rec)
+        path = tmp_path / "out"
+        cli.write_text(str(path), cli.record_pieces(rec, fmt))
+        assert path.read_bytes() == text.encode()
+        capsys.readouterr()
+        cli.write_text("-", cli.record_pieces(rec, fmt))
+        assert capsys.readouterr().out == (text if fmt == "csv" else text + "\n")
 
 
 @pytest.mark.parametrize("game", GAME_KINDS)
@@ -745,3 +909,45 @@ class TestBench:
         )
         assert code == 0
         assert "# slope,interval-length,oracle-subset," in out
+
+    @pytest.mark.parametrize("sizes", ["10,abc", "-5", "0", "10,2.5", "10,,20"])
+    def test_bad_sizes_rejected(self, capsys, monkeypatch, sizes):
+        def no_work(*args, **kwargs):
+            raise AssertionError("bench did work before checking --sizes")
+
+        monkeypatch.setattr(cli, "solver_for", no_work)
+        monkeypatch.setattr(cli, "random_instance", no_work)
+        code, out, err = run(capsys, "bench", "--games", "airport,hull-area", "--sizes", sizes)
+        assert code == 2, err
+        bad = next(s for s in sizes.split(",") if not s.isdigit() or int(s) < 1)
+        assert f"--sizes entry {bad!r}" in err
+        assert "Traceback" not in err and out == ""
+
+
+class TestPeakMemory:
+    """compute holds the input text, the points and the values, but not a
+    Python object per line or per point, nor the whole output text."""
+
+    @pytest.mark.parametrize(
+        "game, in_fmt, out_fmt", [("bbox-perimeter", "json", "csv"), ("airport", "csv", "json")]
+    )
+    def test_traced_peak(self, tmp_path, game, in_fmt, out_fmt):
+        n = 1 << 17
+        rng = np.random.default_rng(17)
+        src = tmp_path / ("in." + in_fmt)
+        if in_fmt == "json":
+            src.write_text(json.dumps({"points": rng.uniform(-50, 50, (n, 2)).tolist()}))
+        else:
+            src.write_text("".join("%r\n" % v for v in rng.uniform(0.5, 100, n).tolist()))
+        dst = tmp_path / ("out." + out_fmt)
+        argv = ["compute", "--game", game, "--input", str(src), "--output", str(dst),
+                "--format", out_fmt]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        bound = src.stat().st_size + 64 * n
+        assert peak < bound, (peak, bound)
