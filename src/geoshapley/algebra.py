@@ -14,11 +14,19 @@ import numpy as np
 from .errors import DomainError
 
 
-def convolve(a, b):
+def convolve(a, b, size=None):
     """Linear convolution c_k = sum_i a_i * b_{k-i} via real FFT.
 
     Inputs are padded to the next power of two covering len(a)+len(b)-1.
+    Given `size`, a and b are 2-D arrays of at most `size` columns, and
+    row r of the result is the cyclic convolution of their rows r,
+    c_k = sum_i a_i * b_{(k-i) mod size}, k = 0 .. size-1: one batch of
+    real FFTs covers every row.
     """
+    if size is not None:
+        fa = np.fft.rfft(a, size, axis=1)
+        fa *= np.fft.rfft(b, size, axis=1)
+        return np.fft.irfft(fa, size, axis=1)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:

@@ -16,7 +16,9 @@ of a rational step series at integer offsets: one grouped series plus one
 FFT multipoint evaluation per block (sigma_slabs_empty_block and its psi
 variant).  General point sets use ceil(sqrt(n)) horizontal bands split at
 their points into empty blocks; chains use the dyadic block family or
-closed-form prefix sums.
+closed-form prefix sums.  The engines evaluate the series of many blocks
+at once (those of consecutive bands, or of one dyadic level) in FFT
+batches of one power-of-two size each.
 """
 
 from __future__ import annotations
@@ -264,109 +266,118 @@ def _ar_increasing(grid, direct=False):
     return out
 
 
-def _dyadic_intervals(n):
-    """The dyadic pairs (l, r), r - l = 2^beta >= 2, of the family covering
-    [0, 2^ceil(log2(n+1))], restricted to those containing an integer
-    a with l < a <= n."""
-    N = 1 << max(1, (n + 1 - 1).bit_length())
-    out = []
-    size = 2
-    while size <= N:
-        for left in range(0, N, size):
-            if left <= n - 1:
-                out.append((left, left + size))
-        size *= 2
-    return out, N
-
-
 def _ar_decreasing(grid, direct=False):
     """Dyadic divide and conquer for a decreasing chain: ne(c_{i,j}) is the
     closed form n + 2 - i - j, and the blocks hugging the anti-diagonal are
-    empty by construction."""
+    empty by construction.
+
+    The dyadic intervals (lo, lo + size] of one level with midpoint
+    m = lo + size/2 <= n give blocks of the same shape: columns lo+1 .. m by
+    rows n-lo-size+2 .. n-m+1, the block reaching below row 1 cut short.
+    So every level's vertical and horizontal slab series take one batch.
+    Point a takes, on every level whose size does not divide a, the
+    vertical prefix of its interval's block up to column a if a <= m, else
+    the horizontal prefix up to row n-a+1; the levels whose size divides a
+    lie below the one where a is the midpoint.
+    """
     n = grid.n
     if n == 1:
         return _ar_increasing(grid)
-    intervals, N = _dyadic_intervals(n)
-    vpref = {}
-    hpref = {}
-    for (lo, hi) in intervals:
-        m = (lo + hi) // 2
-        ci0, ci1 = lo + 1, min(m, n)
-        rj0, rj1 = max(n - hi + 2, 1), n - m + 1
-        if rj1 < rj0 or ci1 < ci0:
-            continue
-        rows = np.arange(rj0, rj1 + 1)
-        cols = np.arange(ci0, ci1 + 1)
-        base_v = n + 2 - ci0 - rows
-        sig_v = grid.w[cols] * _series_values(base_v, grid.h[rows], ci0 - cols, direct)
-        vpref[(lo, hi)] = np.cumsum(sig_v)
-        base_h = n + 2 - cols - rj0
-        sig_h = grid.h[rows] * _series_values(base_h, grid.w[cols], rj0 - rows, direct)
-        hpref[(lo, hi)] = np.cumsum(sig_h)
     out = np.zeros(n + 1)
-    for a in range(1, n + 1):
-        lo, hi = 0, N
-        total = 0.0
-        while hi - lo >= 2:
-            m = (lo + hi) // 2
-            if a <= m:
-                if (lo, hi) in vpref:
-                    total += vpref[(lo, hi)][a - (lo + 1)]
-                if a == m:
-                    break
-                hi = m
-            else:
-                if (lo, hi) in hpref:
-                    total += hpref[(lo, hi)][(n - a + 1) - max(n - hi + 2, 1)]
-                lo = m
-        out[a] = total
+    a = np.arange(1, n + 1)
+    size = 1 << n.bit_length()
+    while size >= 2:
+        half = size // 2
+        lo = np.arange(0, n - half + 1, size)
+        K = lo.size
+        rj1 = n - lo - half + 1
+        rj0 = np.maximum(rj1 - half + 1, 1)
+        nr = rj1 - rj0 + 1
+        # ne - half = rj1 - j on the rows of a vertical series, which is
+        # read at column i = lo + 1 - x; ne - l0 = lo + half - i on the
+        # columns of a horizontal series, which is read at row j = rj0 - x
+        tv, gv = _ragged(nr)
+        th, gh = _ragged(np.full(K, half))
+        n_t = np.concatenate([nr - 1, np.full(K, half - 1)])
+        vals, slot = _batched_consecutive_eval(
+            np.concatenate([tv, K + th]),
+            np.concatenate([gv, gh]),
+            np.concatenate([grid.h[rj1[tv] - gv], grid.w[lo[th] + half - gh]]),
+            n_t,
+            np.concatenate([np.full(K, half), n + 2 - lo - half - rj0]),
+            np.concatenate([np.full(K, 1 - half), rj0 - rj1]),
+            direct,
+        )
+        p = np.arange(half)
+        cols = lo[:, None] + 1 + p
+        sig_v = grid.w[cols] * vals[(slot + n_t)[:K, None] + p]
+        vpref = np.cumsum(sig_v, axis=1)
+        # rows rj1 - half + 1 + p, zero below row 1
+        rows = rj1[:, None] - half + 1 + p
+        ok = rows >= rj0[:, None]
+        x = np.where(ok, rj0[:, None] - rows, 0)
+        sig_h = np.where(ok, grid.h[np.maximum(rows, 0)] * vals[(slot + n_t)[K:, None] - x], 0.0)
+        hpref = np.cumsum(sig_h, axis=1)
+        k = a // size
+        off = a - k * size
+        left = (off > 0) & (off <= half) & (k < K)
+        right = off > half
+        out[a[left]] += vpref[k[left], off[left] - 1]
+        out[a[right]] += hpref[k[right], size - 1 - off[right]]
+        size //= 2
     return out
 
 
-def _batched_consecutive_eval(G, n_t, l0, dmin, direct=False):
-    """Evaluate every grouped series R_t(x) = sum_g G[t, g] / (l0[t] + g + x)
+def _ragged(lengths):
+    """Segment and in-segment position of every entry of segments of the
+    given lengths laid back to back."""
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return seg, np.arange(seg.size) - starts[seg]
+
+
+def _batched_consecutive_eval(task, offset, weight, n_t, l0, dmin, direct=False):
+    """Evaluate every grouped series R_t(x) = sum_g G_t[g] / (l0[t] + g + x)
     at the consecutive integers dmin[t] .. 0.
 
-    Returns C with C[t, s] = R_t(dmin[t] + s).  Tasks are batched per
-    power-of-two convolution size, so one FFT call covers all tasks of
-    similar extent and padding wastes at most a factor of two.
+    G_t[g], g = 0 .. n_t[t], sums the weights of the entries with that task
+    and offset.  Returns (vals, slot) with R_t(x) = vals[slot[t] + n_t[t] - x].
+    Row slot[t] of vals is the convolution of G_t with the reciprocals
+    1/(l0 + n_t - k), k = 0 .. mn = n_t - dmin; a cyclic convolution of size
+    P >= mn + 1 folds only indices above mn onto indices below n_t, which
+    are never read.  Tasks are batched per power-of-two P, so one FFT call
+    covers all tasks of similar extent and padding wastes at most a factor
+    of two.
     """
-    T = G.shape[0]
-    m = -dmin
+    from .algebra import convolve  # per call, so wrappers on algebra see it
+
+    mn = n_t - dmin
     if np.any(l0 + dmin < 1):
         raise DomainError("slab series would hit a nonpositive denominator")
-    C = np.zeros((T, int(m.max()) + 1 if T else 1))
     if direct:
-        for t in range(T):
-            series = RationalStepSeries(G[t, : n_t[t] + 1], float(l0[t]))
-            C[t, : m[t] + 1] = direct_rational_eval(series, np.arange(dmin[t], 1))
-        return C
-    mn = m + n_t
-    conv_len = mn + n_t + 1
-    keys = np.maximum(8, 2 ** np.ceil(np.log2(np.maximum(conv_len, 2))).astype(np.int64))
-    order = np.argsort(keys, kind="stable")
-    pos = 0
-    while pos < T:
-        P = int(keys[order[pos]])
-        hi = pos
-        while hi < T and keys[order[hi]] == P:
-            hi += 1
-        idx = order[pos:hi]
-        pos = hi
-        wa = int(mn[idx].max()) + 1
-        k = np.arange(wa)
-        valid = k[None, :] <= mn[idx, None]
-        denom = (l0 + dmin + mn)[idx, None] - k[None, :]
-        a = np.where(valid, 1.0 / np.where(valid, denom, 1.0), 0.0)
-        fa = np.fft.rfft(a, P, axis=1)
-        fb = np.fft.rfft(G[idx], P, axis=1)
-        c = np.fft.irfft(fa * fb, P, axis=1)
-        span = int(m[idx].max()) + 1
-        s = np.arange(span)
-        ok = s[None, :] <= m[idx, None]
-        cols = np.where(ok, mn[idx, None] - s[None, :], 0)
-        C[idx, :span] = np.take_along_axis(c, cols, axis=1) * ok
-    return C
+        slot = np.cumsum(mn + 1) - (mn + 1)
+        g = np.bincount(slot[task] + offset, weights=weight, minlength=int(np.sum(mn + 1)))
+        vals = np.zeros(g.size)
+        for t in range(slot.size):
+            top = slot[t] + n_t[t]
+            series = RationalStepSeries(g[slot[t] : top + 1], float(l0[t]))
+            vals[top : slot[t] + mn[t] + 1] = direct_rational_eval(series, -np.arange(1 - dmin[t]))
+        return vals, slot
+    P = np.maximum(8, np.left_shift(1, np.frexp(mn)[1].astype(np.int64)))  # least 2^k > mn
+    order = np.argsort(P, kind="stable")
+    slot = np.empty_like(P)
+    slot[order] = np.cumsum(P[order]) - P[order]
+    g = np.bincount(slot[task] + offset, weights=weight, minlength=int(np.sum(P)))
+    vals = np.empty(g.size)
+    sizes, first, counts = np.unique(P[order], return_index=True, return_counts=True)
+    for size, lo, k in zip(sizes.tolist(), first.tolist(), counts.tolist()):
+        idx = order[lo : lo + k]
+        j = np.arange(size)
+        a = np.zeros((k, size))
+        np.divide(1.0, (l0 + n_t)[idx, None] - j, out=a, where=j <= mn[idx, None])
+        block = slice(int(slot[idx[0]]), int(slot[idx[0]]) + k * size)
+        vals[block] = convolve(a, g[block].reshape(k, size), size).ravel()
+    return vals, slot
 
 
 class _BandFrame:
@@ -387,14 +398,12 @@ class _BandFrame:
         self.bx = np.nonzero(inband)[0] + 1  # band points by x rank
         if self.bx.size and self.bx[-1] == n:
             self.ends = self.bx.astype(np.int64)
-            self.has_tail = False
         else:
             self.ends = np.concatenate([self.bx, [n]]).astype(np.int64)
-            self.has_tail = True
         self.B = self.ends.size
         self.starts = np.concatenate([[1], self.ends[:-1] + 1]).astype(np.int64)
-        cols = np.arange(1, n + 1)
-        self.block_of_col = np.searchsorted(self.ends, cols, side="left")
+        widths = self.ends - self.starts + 1
+        self.block_of_col = np.repeat(np.arange(self.B), widths)
         # suffix counts of the base row and the top row
         self.row0 = _suffix_indicator(Y, j0)
         self.rowT = _suffix_indicator(Y, j1)
@@ -408,12 +417,12 @@ class _BandFrame:
         )
         tail_ge = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1] + above[:, None]
         self.snap = np.cumsum(tail_ge[::-1, :], axis=0)[::-1, :].T  # (kb, B)
-        # ar column shifts and the emptiness consistency check
-        a_of = self.starts[self.block_of_col]
-        self.delta_col = self.row0[cols] - self.row0[a_of]
-        if not np.array_equal(self.rowT[cols] - self.rowT[a_of], self.delta_col):
+        # the emptiness consistency check: ne shifts alike on the base and
+        # top rows from each block's base column
+        self.a_of_col = np.repeat(self.starts, widths)
+        gap = self.rowT - self.row0
+        if not np.array_equal(gap[1 : n + 1], gap[self.a_of_col]):
             raise ConsistencyError("ne column shifts differ inside a block")
-        self.a_of_col = a_of
 
 
 def _suffix_indicator(Y, j):
@@ -425,108 +434,152 @@ def _suffix_indicator(Y, j):
     return out
 
 
-def _grouped_coeffs(task_of_elem, offsets, weights, n_tasks, width):
-    flat = task_of_elem * width + offsets
-    return np.bincount(flat, weights=weights, minlength=n_tasks * width).reshape(
-        n_tasks, width
-    )
-
-
 def _h_task_split(nh, kb, B):
     """Split horizontal-slab tasks into a batched class and oversized
-    stragglers, so the grouped-coefficient matrix stays near-linear."""
+    stragglers, so no batched series is far longer than the band's
+    average block."""
     avg = max(1, int(nh.sum()) // max(B, 1))
     cap = max(kb + 1, 4 * avg + 8)
     big = nh + 1 > cap
-    return cap, np.nonzero(~big)[0], np.nonzero(big)[0]
+    return np.nonzero(~big)[0], np.nonzero(big)[0]
+
+
+# Array elements that close a pool of consecutive bands, whose series then
+# take one evaluator call.  A band counts its series elements (the sum of
+# -dmin + n_t + 1 over its tasks, which sizes the FFT buffers) and the
+# elements of the task arrays it holds until its pool is evaluated.
+_POOL = 1 << 17
+
+
+def _ne_family(grid, f):
+    """Anchored rectangles: den = ne.  Vertical sums stop at the last column
+    whose top band cell has ne >= 1; horizontal sums cover the real blocks,
+    each up to the highest band row of a point at or right of it (the rows
+    above may hit ne = 0)."""
+    v_cols = int(np.count_nonzero(f.rowT[1 : grid.n + 1]))  # a suffix count: a prefix is > 0
+    rmax = np.maximum.accumulate(grid.Y[f.bx][::-1])[::-1] - f.j0
+    return f.snap, f.row0, v_cols, rmax
+
+
+def _den3_family(grid, f):
+    """Anchored bounding box: den = ne + nw + se = (n-j+1) + (n-i+1) - ne,
+    positive on every cell, so every column and every block row is summed
+    (the tail block serves the NW prefixes)."""
+    n = grid.n
+    rows = np.arange(f.j0, f.j1 + 1)
+    snap = (n - rows + 1)[:, None] + (n - f.starts + 1)[None, :] - f.snap
+    row = (n - f.j0 + 1) + (n - np.arange(n + 2) + 1) - f.row0
+    return snap, row, n, np.full(f.B, f.kb - 1)
+
+
+def _band_tasks(grid, f, family, direct):
+    """The slab series of one band under a denominator family.
+
+    family(grid, f) gives den at each block's base column per band row
+    (kb, B), den on the band's base row per column, the number of columns
+    whose vertical sums are needed and, per block with horizontal sums, the
+    highest row needed.  Inside an empty block den shifts uniformly from
+    column to column and from row to row, so each block gives one vertical
+    series (over the band rows, read at its columns' shifts) and one
+    horizontal series (over its columns, read at the rows' shifts).
+
+    Returns (tasks, finish): the evaluator arguments, and
+    finish(vals, slot) -> (rv, rh) with rv[i - 1] = sum_j h_j / den(i, j)
+    over the band rows and rh[r, t] = sum_i w_i / den(i, j0 + r) over block
+    t's columns (zero above the needed rows).
+    """
+    snap, row, v_cols, h_rows = family(grid, f)
+    kb, w = f.kb, grid.w
+    tv = int(f.block_of_col[v_cols - 1]) + 1
+    l0v = snap[:, :tv].min(axis=0)
+    ntv = snap[:, :tv].max(axis=0) - l0v
+    t_v = f.block_of_col[:v_cols]
+    dv = row[1 : v_cols + 1] - row[f.a_of_col[:v_cols]]
+    dminv = np.minimum.reduceat(dv, f.starts[:tv] - 1)
+    th = h_rows.size
+    last = int(f.ends[th - 1])
+    base = row[1 : last + 1]
+    starts0 = f.starts[:th] - 1
+    l0h = np.minimum.reduceat(base, starts0)
+    nh = np.maximum.reduceat(base, starts0) - l0h
+    dh = snap[:, :th] - snap[0, :th]
+    dminh = dh[h_rows, np.arange(th)]
+    small, big = _h_task_split(nh, kb, th)
+    task = np.full(th, -1)
+    task[small] = np.arange(tv, tv + small.size)
+    t_h = f.block_of_col[:last]
+    sel = np.nonzero(task[t_h] >= 0)[0]
+    tasks = (
+        np.concatenate([np.repeat(np.arange(tv), kb), task[t_h[sel]]]),
+        np.concatenate([(snap[:, :tv] - l0v).T.ravel(), base[sel] - l0h[t_h[sel]]]),
+        np.concatenate([np.tile(grid.h[f.j0 : f.j1 + 1], tv), w[sel + 1]]),
+        np.concatenate([ntv, nh[small]]),
+        np.concatenate([l0v, l0h[small]]),
+        np.concatenate([dminv, dminh[small]]),
+    )
+    read_v = ntv[t_v] - dv
+    okh = np.arange(kb)[:, None] <= h_rows[small]
+    read_h = nh[small] - np.where(okh, dh[:, small], 0)
+    bigv = [
+        (t, _series_values(
+            row[f.starts[t] : f.ends[t] + 1],
+            w[f.starts[t] : f.ends[t] + 1],
+            dh[: h_rows[t] + 1, t],
+            direct,
+        ))
+        for t in big
+    ]
+
+    def finish(vals, slot):
+        rh = np.zeros((kb, th))
+        rh[:, small] = np.where(okh, vals[slot[tv:] + read_h], 0.0)
+        for t, v in bigv:
+            rh[: v.size, t] = v
+        return vals[slot[t_v] + read_v], rh
+
+    return tasks, finish
+
+
+def _band_sums(grid, family, direct=False):
+    """(j0, bx, starts, rv, rh) for every band of the grid, in band order:
+    its base row, its points by x rank, its block starts, and the slab sums
+    of _band_tasks.  Consecutive bands are pooled until they reach _POOL
+    elements, and each pool takes one evaluator call."""
+    n = grid.n
+    bands = _band_rows(n)
+    pending, size = [], 0
+    for k, (j0, j1) in enumerate(bands):
+        f = _BandFrame(grid, j0, j1)
+        tasks, finish = _band_tasks(grid, f, family, direct)
+        pending.append((j0, f.bx, f.starts, tasks, finish))
+        _, _, _, n_t, _, dmin = tasks
+        size += int(np.sum(n_t - dmin + 1)) + sum(a.size for a in tasks)
+        if size < _POOL and k + 1 < len(bands):
+            continue
+        parts = list(zip(*(p[3] for p in pending)))  # evaluator arguments, band by band
+        first = np.cumsum([0] + [n_t.size for n_t in parts[3]])  # each band's first task
+        parts[0] = [t + t0 for t, t0 in zip(parts[0], first)]
+        vals, slot = _batched_consecutive_eval(*map(np.concatenate, parts), direct)
+        for (j0, bx, starts, _, finish), t0, t1 in zip(pending, first, first[1:]):
+            yield (j0, bx, starts, *finish(vals, slot[t0:t1]))
+        pending, size = [], 0
 
 
 def _ar_general(grid, direct=False):
     """Band decomposition: ceil(sqrt(n)) horizontal bands, each split at
-    its own points' vertical lines into empty blocks; all per-block series
-    in a band are grouped and multipoint-evaluated in batched FFT calls."""
+    its own points' vertical lines into empty blocks; the per-block series
+    of consecutive bands are grouped and multipoint-evaluated in batched
+    FFT calls."""
     n = grid.n
     out = np.zeros(n + 1)
-    acc = np.zeros(n + 2)  # acc[i]: sum over finished bands of V_<=(i)
-    w = grid.w
-    for (j0, j1) in _band_rows(n):
-        f = _BandFrame(grid, j0, j1)
-        kb, B = f.kb, f.B
-        hrows = grid.h[j0 : j1 + 1]
-        # --- vertical slabs over the positive-ne region (a prefix of columns)
-        nz = np.nonzero(f.rowT[1 : n + 1] > 0)[0]
-        i_max = int(nz[-1]) + 1 if nz.size else 0
-        sigma_v = np.zeros(n + 2)
-        if i_max > 0:
-            tv = int(f.block_of_col[i_max - 1]) + 1  # blocks with valid columns
-            snap = f.snap[:, :tv]
-            l0 = snap.min(axis=0)
-            n_t = snap.max(axis=0) - l0
-            G = _grouped_coeffs(
-                np.repeat(np.arange(tv), kb),
-                (snap - l0[None, :]).T.ravel(),
-                np.tile(hrows, tv),
-                tv,
-                int(n_t.max()) + 1,
-            )
-            dcols = f.delta_col[:i_max]
-            dmin = np.minimum.reduceat(dcols, f.starts[:tv] - 1)
-            C = _batched_consecutive_eval(G, n_t, l0, dmin, direct)
-            t_of = f.block_of_col[:i_max]
-            vals = C[t_of, dcols - dmin[t_of]]
-            sigma_v[1 : i_max + 1] = w[1 : i_max + 1] * vals
-        # --- horizontal slabs of the real blocks, rows up to the suffix max
-        hreal = len(f.bx)
-        sigma_h = np.zeros((kb, B))
-        if hreal:
-            jt = np.maximum.accumulate(grid.Y[f.bx][::-1])[::-1]
-            rmax = jt - j0  # highest needed row per real block
-            last = int(f.ends[hreal - 1])
-            cols = np.arange(1, last + 1)
-            base = f.row0[cols]
-            starts0 = f.starts[:hreal] - 1
-            l0h = np.minimum.reduceat(base, starts0)
-            nh = np.maximum.reduceat(base, starts0) - l0h
-            eps = f.snap[:, :hreal] - f.snap[0, :hreal][None, :]
-            # rows above a block's suffix-max row may hit ne = 0; the
-            # evaluation range must stop at the last needed row
-            dminH = eps[rmax, np.arange(hreal)]
-            cap, small, big = _h_task_split(nh, kb, hreal)
-            t_of = f.block_of_col[: last]
-            CH = np.zeros((hreal, kb))
-            if small.size:
-                sel = np.isin(t_of, small)
-                remap = np.full(hreal, -1)
-                remap[small] = np.arange(small.size)
-                Gs = _grouped_coeffs(
-                    remap[t_of[sel]],
-                    base[sel] - l0h[t_of[sel]],
-                    w[cols[sel]],
-                    small.size,
-                    cap,
-                )
-                Cs = _batched_consecutive_eval(
-                    Gs, nh[small], l0h[small], dminH[small], direct
-                )
-                CH[small, : Cs.shape[1]] = Cs
-            for t in big:
-                a, b = int(f.starts[t]), int(f.ends[t])
-                vals = _series_values(
-                    f.row0[a : b + 1], w[a : b + 1], eps[: rmax[t] + 1, t], direct
-                )
-                sigma_h[: rmax[t] + 1, t] = hrows[: rmax[t] + 1] * vals
-            if small.size:
-                r = np.arange(kb)
-                okr = r[:, None] <= rmax[small][None, :]
-                s_idx = eps[:, small] - dminH[small][None, :]
-                vals = CH[small[None, :], np.where(okr, s_idx, 0)]
-                sigma_h[:, small] = hrows[:, None] * vals * okr
-        # --- prefix matrices and per-point assembly
-        S = np.cumsum(np.cumsum(sigma_h, axis=0), axis=1)
-        if hreal:
-            r_p = grid.Y[f.bx] - j0
-            out[f.bx] = S[r_p, np.arange(hreal)] + acc[f.bx]
-        acc[1 : n + 1] += np.cumsum(sigma_v[1 : n + 1])
+    acc = np.zeros(n + 1)  # acc[i]: sum over finished bands of V_<=(i)
+    for j0, bx, _, rv, rh in _band_sums(grid, _ne_family, direct):
+        hrows = grid.h[j0 : j0 + rh.shape[0]]
+        S = np.cumsum(np.cumsum(hrows[:, None] * rh, axis=0), axis=1)
+        out[bx] = S[grid.Y[bx] - j0, np.arange(bx.size)] + acc[bx]
+        sigma_v = np.zeros(n)
+        sigma_v[: rv.size] = grid.w[1 : rv.size + 1] * rv
+        acc[1:] += np.cumsum(sigma_v)
     return out
 
 
@@ -622,127 +675,67 @@ def _abb_decreasing(grid, direct=False):
     # Reciprocal convolutions.  G[a] = sum_{i >= a+2} w_i / (n + a + 1 - i)
     # and H[a] = sum_{j >= n-a+2} h_j / (2n + 2 - a - j); the 1/k arrays are
     # truncated so the convolution index range enforces each restriction.
-    u1 = 1.0 / np.arange(1, n)  # 1/k for k = 1 .. n-1
-    conv_w = np.convolve(w, u1) if n <= 64 else _fft_convolve(w, u1)
-    u2 = 1.0 / np.arange(1, n + 1)  # 1/k for k = 1 .. n
-    conv_h = np.convolve(h, u2) if n <= 64 else _fft_convolve(h, u2)
-
-    def conv_at(c, m):
-        # both inputs are 1-based sequences stored 0-based: entry for
-        # "i + k = m" sits at flat index m - 2
-        k = m - 2
-        return c[k] if 0 <= k < c.size else 0.0
-
-    # NW sums via the downward recurrence mu_a = mu_{a+1} + col + row parts.
-    mu = np.zeros(n + 2)
-    for aa in range(n - 1, 0, -1):
-        colp = w[aa] * ((chinv[n - aa + 1] - 0.0) - ch[n - aa + 1] / n)
-        row_j = n - aa + 1
-        rowp = h[row_j - 1] * (
-            (cw[n] - cw[aa + 1]) / aa - conv_at(conv_w, n + aa + 1)
-        )
-        mu[aa] = mu[aa + 1] + colp + rowp
-    # SE sums via the upward recurrence eta_a.
-    eta = np.zeros(n + 1)
-    for aa in range(2, n + 1):
-        colp = w[aa - 1] * (
-            (ch[n] - ch[n - aa + 1]) / (n - aa + 1.0) - conv_at(conv_h, 2 * n + 2 - aa)
-        )
-        row_j = n - aa + 2
-        rowp = h[row_j - 1] * (cwinv[aa - 1] - cw[aa - 1] / n)
-        eta[aa] = eta[aa - 1] + colp + rowp
-
-    out = np.zeros(n + 1)
-    out[1:] = s_ne + mu[1 : n + 1] + eta[1:]
-    return out
-
-
-def _fft_convolve(a, b):
+    # Both inputs are 1-based sequences stored 0-based: the entry for
+    # "i + k = m" sits at flat index m - 2.
     from .algebra import convolve
 
-    return convolve(a, b)
+    u1 = 1.0 / np.arange(1, n)  # 1/k for k = 1 .. n-1
+    conv_w = np.convolve(w, u1) if n <= 64 else convolve(w, u1)
+    u2 = 1.0 / np.arange(1, n + 1)  # 1/k for k = 1 .. n
+    conv_h = np.convolve(h, u2) if n <= 64 else convolve(h, u2)
+
+    # NW sums mu_a = mu_{a+1} + col part + row part, a = n-1 .. 1, and SE
+    # sums eta_a = eta_{a-1} + col part + row part, a = 2 .. n: one running
+    # sum over the interleaved parts adds them in the recurrences' order.
+    aa = np.arange(n - 1, 0, -1)
+    g_w = np.zeros(n)
+    g_w[1 : n - 1] = conv_w[n : 2 * n - 2]  # at n + aa - 1; none for aa = n-1
+    mu_parts = np.empty(2 * (n - 1))
+    mu_parts[0::2] = w[aa] * (chinv[n - aa + 1] - ch[n - aa + 1] / n)
+    mu_parts[1::2] = h[n - aa] * ((cw[n] - cw[aa + 1]) / aa - g_w[aa])
+    mu = np.zeros(n + 1)
+    mu[n - 1 : 0 : -1] = np.cumsum(mu_parts)[1::2]
+    aa = np.arange(2, n + 1)
+    eta_parts = np.empty(2 * (n - 1))
+    eta_parts[0::2] = w[aa - 1] * ((ch[n] - ch[n - aa + 1]) / (n - aa + 1.0) - conv_h[2 * n - aa])
+    eta_parts[1::2] = h[n - aa + 1] * (cwinv[aa - 1] - cw[aa - 1] / n)
+    eta = np.zeros(n + 1)
+    eta[2:] = np.cumsum(eta_parts)[1::2]
+
+    out = np.zeros(n + 1)
+    out[1:] = s_ne + mu[1:] + eta[1:]
+    return out
 
 
 def _abb_general(grid, direct=False):
     """Band engine for the anchored bounding box.
 
-    Reuses the anchored-rectangles band frame: within an empty block only
-    the ne+nw+se family needs a series evaluation (ne+nw and ne+se are
-    the global reciprocals 1/(n-j+1) and 1/(n-i+1)); each quadrant class
-    gets its own prefix orientation over the same slab sums.
+    Within an empty block only the ne+nw+se family needs a series
+    evaluation (ne+nw and ne+se are the global reciprocals 1/(n-j+1) and
+    1/(n-i+1)); each quadrant class gets its own prefix orientation over
+    the same slab sums.
     """
     n = grid.n
-    bands = _band_rows(n)
     per_band_vse = []
-    acc_ne = np.zeros(n + 2)
-    acc_nw = np.zeros(n + 3)
+    acc_ne = np.zeros(n + 1)
+    acc_nw = np.zeros(n + 2)
     inband = np.zeros(n + 1)
     points_by_band = []
-    w = grid.w
-    iarr = np.arange(n + 1)
-    inv_ne_se = np.zeros(n + 1)
-    inv_ne_se[1:] = 1.0 / (n - iarr[1:] + 1.0)
-    for (j0, j1) in bands:
-        f = _BandFrame(grid, j0, j1)
-        kb, B = f.kb, f.B
-        hrows = grid.h[j0 : j1 + 1]
-        rows = np.arange(j0, j1 + 1)
+    w = grid.w[1:]
+    inv_ne_se = 1.0 / (n - np.arange(1, n + 1) + 1.0)
+    for j0, bx, starts, r3, sh_r3 in _band_sums(grid, _den3_family, direct):
+        kb, B = sh_r3.shape
+        hrows = grid.h[j0 : j0 + kb]
+        rows = np.arange(j0, j0 + kb)
         hs = float(np.sum(hrows))
         r1_const = float(np.sum(hrows / (n - rows + 1.0)))
-        # --- vertical slabs: one ne+nw+se series per block
-        den = (n - rows + 1)[:, None] + (n - f.starts + 1)[None, :] - f.snap
-        l0 = den.min(axis=0)
-        n_t = den.max(axis=0) - l0
-        G = _grouped_coeffs(
-            np.repeat(np.arange(B), kb),
-            (den - l0[None, :]).T.ravel(),
-            np.tile(hrows, B),
-            B,
-            int(n_t.max()) + 1,
-        )
-        cols = np.arange(1, n + 1)
-        delta3 = (f.a_of_col - cols) - f.delta_col
-        dmin = np.minimum.reduceat(delta3, f.starts - 1)
-        C = _batched_consecutive_eval(G, n_t, l0, dmin, direct)
-        t_of = f.block_of_col
-        r3 = C[t_of, delta3 - dmin[t_of]]
-        r2 = hs * inv_ne_se[1:]
-        sig_ne_v = np.zeros(n + 2)
-        sig_nw_v = np.zeros(n + 2)
-        sig_se_v = np.zeros(n + 2)
-        sig_ne_v[1 : n + 1] = w[1:] * (r1_const + r2 - r3)
-        sig_nw_v[1 : n + 1] = w[1:] * (r1_const - r3)
-        sig_se_v[1 : n + 1] = w[1:] * (r2 - r3)
-        # --- horizontal slabs: all blocks (the tail serves the NW prefixes)
-        base = (n - j0 + 1) + (n - cols + 1) - f.row0[cols]
-        starts0 = f.starts - 1
-        l0h = np.minimum.reduceat(base, starts0)
-        nh = np.maximum.reduceat(base, starts0) - l0h
-        eps3 = -np.arange(kb)[:, None] - (f.snap[:, :] - f.snap[0, :][None, :])
-        dminH = eps3[kb - 1, :]
-        cap, small, big = _h_task_split(nh, kb, B)
-        CH = np.zeros((B, kb))
-        sh_r3 = np.zeros((kb, B))
-        if small.size:
-            sel = np.isin(t_of, small)
-            remap = np.full(B, -1)
-            remap[small] = np.arange(small.size)
-            Gs = _grouped_coeffs(
-                remap[t_of[sel]],
-                base[sel] - l0h[t_of[sel]],
-                w[cols[sel]],
-                small.size,
-                cap,
-            )
-            Cs = _batched_consecutive_eval(Gs, nh[small], l0h[small], dminH[small], direct)
-            CH[small, : Cs.shape[1]] = Cs
-            s_idx = eps3[:, small] - dminH[small][None, :]
-            sh_r3[:, small] = CH[small[None, :], s_idx]
-        for t in big:
-            a, b = int(f.starts[t]), int(f.ends[t])
-            sh_r3[:, t] = _series_values(base[a - 1 : b], w[a : b + 1], eps3[:, t], direct)
-        ws_t = np.add.reduceat(w[1 : n + 1], starts0)
-        w2_t = np.add.reduceat(w[1 : n + 1] * inv_ne_se[1:], starts0)
+        r2 = hs * inv_ne_se
+        sig_ne_v = w * (r1_const + r2 - r3)
+        sig_nw_v = w * (r1_const - r3)
+        sig_se_v = w * (r2 - r3)
+        starts0 = starts - 1
+        ws_t = np.add.reduceat(w, starts0)
+        w2_t = np.add.reduceat(w * inv_ne_se, starts0)
         r1r = ws_t[None, :] / (n - rows + 1.0)[:, None]
         sh_ne = hrows[:, None] * (r1r + w2_t[None, :] - sh_r3)
         sh_nw = hrows[:, None] * (r1r - sh_r3)
@@ -751,7 +744,6 @@ def _abb_general(grid, direct=False):
         s_ne = np.cumsum(np.cumsum(sh_ne, axis=0), axis=1)
         s_se = np.cumsum(np.cumsum(sh_se[::-1, :], axis=0)[::-1, :], axis=1)
         s_nw = np.cumsum(np.cumsum(sh_nw, axis=0)[:, ::-1], axis=1)[:, ::-1]
-        bx = f.bx
         r_p = grid.Y[bx] - j0
         tt = np.arange(len(bx))
         vals = s_ne[r_p, tt] + acc_ne[bx] + acc_nw[bx + 1]
@@ -761,13 +753,13 @@ def _abb_general(grid, direct=False):
         vals[right] += s_nw[r_p[right], tt[right] + 1]
         inband[bx] = vals
         points_by_band.append(bx)
-        acc_ne[1 : n + 1] += np.cumsum(sig_ne_v[1 : n + 1])
-        acc_nw[1 : n + 1] += np.cumsum(sig_nw_v[1 : n + 1][::-1])[::-1]
-        per_band_vse.append(np.cumsum(sig_se_v[1 : n + 1]))
+        acc_ne[1:] += np.cumsum(sig_ne_v)
+        acc_nw[1 : n + 1] += np.cumsum(sig_nw_v[::-1])[::-1]
+        per_band_vse.append(np.cumsum(sig_se_v))
     # Second pass: SE contributions come from bands strictly above.
     acc_se = np.zeros(n)
     out = np.zeros(n + 1)
-    for bi in range(len(bands) - 1, -1, -1):
+    for bi in range(len(points_by_band) - 1, -1, -1):
         bx = points_by_band[bi]
         out[bx] = inband[bx] + acc_se[bx - 1]
         acc_se += per_band_vse[bi]

@@ -429,7 +429,6 @@ def cmd_bench(args):
     sizes_of = {g: _bench_sizes(args.sizes or _DEFAULT_BENCH_SIZES[g]) for g in games_list}
     rng = np.random.default_rng(args.seed)
     out_lines = ["game,algorithm,n,seconds"]
-    slopes = []
     for game in games_list:
         sizes = sizes_of[game]
         ns, ts = [], []
@@ -448,7 +447,6 @@ def cmd_bench(args):
             out_lines.append(f"{game},{args.algorithm},{n},{dt:.6f}")
         if len(ns) >= 2:
             slope = float(np.polyfit(np.log(ns), np.log(ts), 1)[0])
-            slopes.append((game, slope))
             out_lines.append(f"# slope,{game},{args.algorithm},{slope:.4f}")
     write_text(args.output, ["\n".join(out_lines) + "\n"])
     return EXIT_OK

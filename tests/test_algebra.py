@@ -28,6 +28,14 @@ class TestConvolve:
         scale = np.max(np.abs(naive))
         assert np.max(np.abs(fast - naive)) <= 1e-9 * scale
 
+    def test_cyclic_rows(self, rng):
+        a = rng.uniform(-1, 1, size=(3, 16))
+        b = rng.uniform(-1, 1, size=(3, 11))
+        lin = np.array([np.convolve(x, y) for x, y in zip(a, b)])
+        folded = lin[:, :16].copy()
+        folded[:, : lin.shape[1] - 16] += lin[:, 16:]
+        assert_close(convolve(a, b, 16), folded, rel=1e-12, abs_floor=1e-13)
+
     def test_linearity(self, rng):
         a = rng.uniform(size=200)
         b = rng.uniform(size=150)

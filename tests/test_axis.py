@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from geoshapley import axis
+from geoshapley.algebra import RationalStepSeries, direct_rational_eval
 from geoshapley.axis import (
     Block,
     GridArrangement,
@@ -393,3 +395,97 @@ class TestGeneralPosition:
             with pytest.raises(GeneralPositionError) as exc:
                 solver([(1, 2), (1, 3), (2, 5)])
             assert exc.value.offending == ((0, 1),), solver.__name__
+
+
+def random_tasks(rng, shapes):
+    """Evaluator arguments for tasks of the given (n_t, m) shapes.  Every
+    task has entries at offsets 0 and n_t, so both ends of its series
+    reach the result, plus random repeated offsets in between."""
+    task, offset = [], []
+    for t, (n_t, _) in enumerate(shapes):
+        off = np.concatenate([[0, n_t], rng.integers(0, n_t + 1, int(rng.integers(0, 2 * n_t + 3)))])
+        task.append(np.full(off.size, t))
+        offset.append(off)
+    task = np.concatenate(task)
+    offset = np.concatenate(offset)
+    n_t = np.array([s[0] for s in shapes], dtype=np.int64)
+    m = np.array([s[1] for s in shapes], dtype=np.int64)
+    l0 = m + 1 + rng.integers(0, 40, len(shapes))  # l0 + dmin >= 1
+    return task, offset, rng.uniform(0.1, 2.0, task.size), n_t, l0, -m
+
+
+def evaluator_shapes():
+    shapes = [(0, 0), (0, 6), (6, 0), (9, 2), (40, 3), (3, 40), (1, 1)]
+    # m + n_t + 1 at 2^k - 1, 2^k and 2^k + 1, split three ways: a cyclic
+    # convolution one element short of m + n_t + 1 aliases the last read
+    for k in range(3, 11):
+        for total in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            mn = total - 1
+            shapes += [(mn, 0), (0, mn), (mn // 3, mn - mn // 3)]
+    return shapes
+
+
+class TestBatchedEvaluator:
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_matches_direct_sums(self, rng, direct):
+        shapes = evaluator_shapes()
+        task, offset, weight, n_t, l0, dmin = random_tasks(rng, shapes)
+        order = rng.permutation(len(shapes))  # tasks of one size need not be adjacent
+        remap = np.empty_like(order)
+        remap[order] = np.arange(order.size)
+        vals, slot = axis._batched_consecutive_eval(
+            remap[task], offset, weight, n_t[order], l0[order], dmin[order], direct
+        )
+        for t in range(len(shapes)):
+            G = np.bincount(offset[task == t], weights=weight[task == t], minlength=n_t[t] + 1)
+            x = np.arange(dmin[t], 1)
+            expect = direct_rational_eval(RationalStepSeries(G, float(l0[t])), x)
+            got = vals[slot[remap[t]] + n_t[t] - x]
+            assert_close(got, expect, rel=1e-12, abs_floor=0.0)
+
+    def test_nonpositive_denominator_rejected(self, rng):
+        task, offset, weight, n_t, l0, dmin = random_tasks(rng, [(3, 4), (2, 5)])
+        l0[1] = 5  # l0 + dmin = 0
+        for direct in (False, True):
+            with pytest.raises(DomainError):
+                axis._batched_consecutive_eval(task, offset, weight, n_t, l0, dmin, direct)
+
+
+def chain_sizes():
+    return list(range(1, 71)) + [(1 << k) + d for k in range(6, 11) for d in (-1, 0, 1)]
+
+
+class TestChainBoundaries:
+    """The chain engines at every small n and around powers of two, where
+    the dyadic levels gain a block cut short below row 1."""
+
+    @pytest.mark.parametrize("game", ["anchored-rects", "anchored-bbox"])
+    def test_decreasing_chains_match_quadratic(self, game):
+        rng = np.random.default_rng(6)
+        fast, quadratic = {
+            "anchored-rects": (shapley_anchored_rects, shapley_anchored_rects_quadratic),
+            "anchored-bbox": (shapley_anchored_bbox, shapley_anchored_bbox_quadratic),
+        }[game]
+        for n in chain_sizes():
+            ch = make_chain(rng, n, inc=False)
+            q = quadratic(ch).values
+            assert_close(fast(ch).values, q, rel=1e-9, abs_floor=1e-13)
+            assert_close(fast(ch, direct_series=True).values, q, rel=1e-9, abs_floor=1e-13)
+
+
+class TestBandPools:
+    @pytest.mark.parametrize("budget", [1, 20000])  # one band per pool; a few
+    @pytest.mark.parametrize("game", ["anchored-rects", "anchored-bbox"])
+    def test_pool_budget_does_not_change_values(self, rng, monkeypatch, game, budget):
+        fast, quadratic = {
+            "anchored-rects": (shapley_anchored_rects, shapley_anchored_rects_quadratic),
+            "anchored-bbox": (shapley_anchored_bbox, shapley_anchored_bbox_quadratic),
+        }[game]
+        pts = random_points(rng, 700)
+        pooled = fast(pts, method="general").values
+        monkeypatch.setattr(axis, "_POOL", budget)
+        small = fast(pts, method="general").values
+        assert_close(small, pooled, rel=1e-12, abs_floor=0.0)
+        q = quadratic(pts).values
+        assert_close(pooled, q, rel=1e-9, abs_floor=1e-13)
+        assert_close(small, q, rel=1e-9, abs_floor=1e-13)
