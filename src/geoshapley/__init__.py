@@ -14,21 +14,15 @@ from .algebra import (
     multipoint_rational_eval,
 )
 from .axis import (
-    Block,
     GridArrangement,
-    PsiWeights,
-    psi_weights,
     shapley_anchored_bbox,
     shapley_anchored_bbox_quadratic,
     shapley_anchored_rects,
     shapley_anchored_rects_quadratic,
     shapley_bbox,
     shapley_bbox_quadratic,
-    sigma_psi_slabs_empty_block,
-    sigma_slabs_empty_block,
 )
 from .disk import DiskBasis, enumerate_bases, shapley_disk
-from .dominance import DominanceCounts, DominanceIndex, build_dominance_index
 from .errors import (
     AxisDegeneracyError,
     ConsistencyError,
@@ -49,13 +43,10 @@ from .games import (
 )
 from .geometry import (
     Disk,
-    Isometry,
-    PointSet,
     convex_hull,
     hull_area,
     hull_perimeter,
     min_enclosing_disk,
-    reflect_to_positive_quadrant,
 )
 from .hull import (
     all_pair_levels,

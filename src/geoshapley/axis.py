@@ -4,7 +4,7 @@ anchored bounding box, and bounding box.
 Everything happens in rank space.  For a point set with distinct
 coordinates in the (closed) positive quadrant, the grid lines through the
 points and the axes cut the plane into cells c_{i,j} of size w_i x h_j,
-and the per-cell dominance counts ne/nw/se determine each cell's
+and the per-cell quadrant counts ne/nw/se determine each cell's
 contribution weight:
 
   anchored rectangles:  area(c) / ne(c)                 summed over c in R_p
@@ -12,24 +12,24 @@ contribution weight:
 
 The fast engines never enumerate cells.  Within an empty block the counts
 shift uniformly from slab to slab, so the per-slab sums are evaluations
-of a rational step series at integer offsets: one grouped series plus one
-FFT multipoint evaluation per block (sigma_slabs_empty_block and its psi
-variant).  General point sets use ceil(sqrt(n)) horizontal bands split at
-their points into empty blocks; chains use the dyadic block family or
-closed-form prefix sums.  The engines evaluate the series of many blocks
-at once (those of consecutive bands, or of one dyadic level) in FFT
-batches of one power-of-two size each.
+of a rational step series at integer offsets: one grouped series per
+block and slab direction, read at consecutive integers through one
+convolution.  General point sets use ceil(sqrt(n)) horizontal bands split
+at their points into empty blocks; chains use the dyadic block family or
+closed-form prefix sums.  Every series goes through one pooled evaluator,
+_batched_consecutive_eval, which takes the series of many blocks at once
+(those of consecutive bands, or of one dyadic level) in FFT batches of one
+power-of-two size each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .algebra import RationalStepSeries, direct_rational_eval, multipoint_rational_eval
+from .algebra import RationalStepSeries, direct_rational_eval
 from .errors import (
     AxisDegeneracyError,
     ConsistencyError,
@@ -43,42 +43,6 @@ from .games import ShapleyVector, _airport_values
 # it creates carry ~1e-300 area: exact to double precision, and the limit
 # of the game as the spread vanishes is the degenerate game itself.
 _TIE_EPS = 1e-300
-
-
-@dataclass(frozen=True)
-class PsiWeights:
-    """Per-cell inclusion probabilities for the anchored-bbox game."""
-
-    psi_ne: float
-    psi_nw: float
-    psi_se: float
-
-
-def psi_weights(ne, nw, se):
-    """psi_* from the dominance counts of a cell; requires ne >= 1 so the
-    identity ne*psi_ne + nw*psi_nw + se*psi_se = 1 holds."""
-    if ne + nw < 1 or ne + se < 1 or ne + nw + se < 1:
-        raise DomainError("psi weights need positive denominators")
-    both = 1.0 / (ne + nw + se)
-    return PsiWeights(
-        1.0 / (ne + nw) + 1.0 / (ne + se) - both,
-        1.0 / (ne + nw) - both,
-        1.0 / (ne + se) - both,
-    )
-
-
-@dataclass(frozen=True)
-class Block:
-    """Inclusive cell-index ranges of a rectangular block of grid cells."""
-
-    i0: int
-    i1: int
-    j0: int
-    j1: int
-
-    def __post_init__(self):
-        if not (1 <= self.i0 <= self.i1 and 1 <= self.j0 <= self.j1):
-            raise DomainError("invalid block index ranges")
 
 
 class GridArrangement:
@@ -112,135 +76,6 @@ class GridArrangement:
         self.x_rank[order] = np.arange(1, n + 1)
         self.y_rank = yrank
 
-    def cell_area(self, i, j):
-        return float(self.w[i] * self.h[j])
-
-    def ne(self, i, j):
-        """Points in the closed NE quadrant of cell (i, j): x rank >= i and
-        y rank >= j (O(n) scan; engines use batched counts)."""
-        return int(np.sum(self.Y[i:] >= j))
-
-    def nw(self, i, j):
-        return int(np.sum(self.Y[1:i] >= j))
-
-    def se(self, i, j):
-        return int(np.sum(self.Y[i:] < j))
-
-    def is_empty_block(self, block: Block):
-        """No point strictly interior to the block's closed cell union."""
-        i = np.arange(max(block.i0, 1), min(block.i1, self.n) + 1)
-        inner = i[i < block.i1]
-        yv = self.Y[inner]
-        return not np.any((yv >= block.j0) & (yv < block.j1))
-
-
-def _series_values(base, coeffs, deltas, direct=False):
-    """Evaluate sum_k coeffs[k] / (base[k] + delta) at every delta.
-
-    base values are grouped into a rational step series; the deltas (all
-    <= 0, covering a consecutive run) are answered by one multipoint
-    evaluation.  Every touched denominator must stay >= 1.
-    """
-    base = np.asarray(base, dtype=np.int64)
-    deltas = np.asarray(deltas, dtype=np.int64)
-    l0 = int(base.min())
-    dmin = int(deltas.min())
-    dmax = int(deltas.max())
-    if l0 + dmin < 1:
-        raise DomainError("slab series would hit a nonpositive denominator")
-    b = np.bincount(base - l0, weights=coeffs)
-    series = RationalStepSeries(b, float(l0))
-    if direct:
-        return direct_rational_eval(series, deltas)
-    vals = multipoint_rational_eval(series, dmin, dmax - dmin)
-    return vals[deltas - dmin]
-
-
-def sigma_slabs_empty_block(grid: GridArrangement, block: Block, axis="vertical"):
-    """sigma(V(i, B)) for every column of an empty block (or sigma(H(j, B))
-    for every row): the sum of area(c)/ne(c) over the slab's cells.
-
-    Requires the block to be empty with ne >= 1 on every cell.
-    """
-    if axis not in ("vertical", "horizontal"):
-        raise DomainError("axis must be 'vertical' or 'horizontal'")
-    if not grid.is_empty_block(block):
-        raise DomainError("block is not empty")
-    if grid.ne(block.i1, block.j1) < 1:
-        raise DomainError("block contains a cell with ne = 0")
-    i0, i1, j0, j1 = block.i0, block.i1, block.j0, block.j1
-    rows = np.arange(j0, j1 + 1)
-    cols = np.arange(i0, i1 + 1)
-    if axis == "vertical":
-        base = np.array([grid.ne(i0, j) for j in rows])
-        deltas = np.array([grid.ne(i, j0) for i in cols]) - grid.ne(i0, j0)
-        check = np.array([grid.ne(i, j1) for i in cols]) - grid.ne(i0, j1)
-        if not np.array_equal(deltas, check):
-            raise ConsistencyError("column shifts differ between rows: block not empty")
-        vals = _series_values(base, grid.h[rows], deltas)
-        return grid.w[cols] * vals
-    base = np.array([grid.ne(i, j0) for i in cols])
-    deltas = np.array([grid.ne(i0, j) for j in rows]) - grid.ne(i0, j0)
-    check = np.array([grid.ne(i1, j) for j in rows]) - grid.ne(i1, j0)
-    if not np.array_equal(deltas, check):
-        raise ConsistencyError("row shifts differ between columns: block not empty")
-    vals = _series_values(base, grid.w[cols], deltas)
-    return grid.h[rows] * vals
-
-
-def sigma_psi_slabs_empty_block(grid: GridArrangement, block: Block, axis="vertical", which="ne"):
-    """sigma_*(slab) for every slab of an empty block: the sum of
-    area(c) * psi_which(c).
-
-    Decomposes psi into the two closed-form reciprocal families
-    1/(ne+nw) = 1/(n-j+1) and 1/(ne+se) = 1/(n-i+1) plus one grouped
-    series for 1/(ne+nw+se), which shifts uniformly across slabs of an
-    empty block.
-    """
-    if which not in ("ne", "nw", "se"):
-        raise DomainError("which must be 'ne', 'nw' or 'se'")
-    if axis not in ("vertical", "horizontal"):
-        raise DomainError("axis must be 'vertical' or 'horizontal'")
-    if not grid.is_empty_block(block):
-        raise DomainError("block is not empty")
-    n = grid.n
-    i0, i1, j0, j1 = block.i0, block.i1, block.j0, block.j1
-    rows = np.arange(j0, j1 + 1)
-    cols = np.arange(i0, i1 + 1)
-
-    def den3(i, j):
-        return (n - j + 1) + (n - i + 1) - grid.ne(i, j)
-
-    if axis == "vertical":
-        base = np.array([den3(i0, j) for j in rows])
-        deltas = np.array([den3(i, j0) for i in cols]) - den3(i0, j0)
-        check = np.array([den3(i, j1) for i in cols]) - den3(i0, j1)
-        if not np.array_equal(deltas, check):
-            raise ConsistencyError("den3 shifts differ between rows: block not empty")
-        r3 = _series_values(base, grid.h[rows], deltas)
-        hs = float(np.sum(grid.h[rows]))
-        r1 = float(np.sum(grid.h[rows] / (n - rows + 1.0)))
-        r2 = hs / (n - cols + 1.0)
-        if which == "ne":
-            return grid.w[cols] * (r1 + r2 - r3)
-        if which == "nw":
-            return grid.w[cols] * (r1 - r3)
-        return grid.w[cols] * (r2 - r3)
-    base = np.array([den3(i, j0) for i in cols])
-    deltas = np.array([den3(i0, j) for j in rows]) - den3(i0, j0)
-    check = np.array([den3(i1, j) for j in rows]) - den3(i1, j0)
-    if not np.array_equal(deltas, check):
-        raise ConsistencyError("den3 shifts differ between columns: block not empty")
-    r3 = _series_values(base, grid.w[cols], deltas)
-    ws = float(np.sum(grid.w[cols]))
-    w2 = float(np.sum(grid.w[cols] / (n - cols + 1.0)))
-    r1 = ws / (n - rows + 1.0)
-    if which == "ne":
-        return grid.h[rows] * (r1 + w2 - r3)
-    if which == "nw":
-        return grid.h[rows] * (r1 - r3)
-    return grid.h[rows] * (w2 - r3)
-
 
 # ---------------------------------------------------------------------------
 # Per-quadrant engines (rank space).  All take a GridArrangement and return
@@ -257,7 +92,7 @@ def _band_rows(n):
     return bands
 
 
-def _ar_increasing(grid, direct=False):
+def _ar_increasing(grid):
     n = grid.n
     areas = grid.x[1:] * grid.y[1:]
     z = np.diff(np.concatenate([[0.0], areas])) / (n - np.arange(n))
@@ -381,7 +216,7 @@ def _batched_consecutive_eval(task, offset, weight, n_t, l0, dmin, direct=False)
 
 
 class _BandFrame:
-    """Per-band block decomposition with vectorized dominance snapshots.
+    """Per-band block decomposition with vectorized ne-count snapshots.
 
     Blocks are the column ranges between consecutive band points; block t
     covers columns (end[t-1], end[t]].  SNAP[r, t] holds the suffix count
@@ -434,16 +269,6 @@ def _suffix_indicator(Y, j):
     return out
 
 
-def _h_task_split(nh, kb, B):
-    """Split horizontal-slab tasks into a batched class and oversized
-    stragglers, so no batched series is far longer than the band's
-    average block."""
-    avg = max(1, int(nh.sum()) // max(B, 1))
-    cap = max(kb + 1, 4 * avg + 8)
-    big = nh + 1 > cap
-    return np.nonzero(~big)[0], np.nonzero(big)[0]
-
-
 # Array elements that close a pool of consecutive bands, whose series then
 # take one evaluator call.  A band counts its series elements (the sum of
 # -dmin + n_t + 1 over its tasks, which sizes the FFT buffers) and the
@@ -472,7 +297,7 @@ def _den3_family(grid, f):
     return snap, row, n, np.full(f.B, f.kb - 1)
 
 
-def _band_tasks(grid, f, family, direct):
+def _band_tasks(grid, f, family):
     """The slab series of one band under a denominator family.
 
     family(grid, f) gives den at each block's base column per band row
@@ -504,38 +329,21 @@ def _band_tasks(grid, f, family, direct):
     nh = np.maximum.reduceat(base, starts0) - l0h
     dh = snap[:, :th] - snap[0, :th]
     dminh = dh[h_rows, np.arange(th)]
-    small, big = _h_task_split(nh, kb, th)
-    task = np.full(th, -1)
-    task[small] = np.arange(tv, tv + small.size)
     t_h = f.block_of_col[:last]
-    sel = np.nonzero(task[t_h] >= 0)[0]
     tasks = (
-        np.concatenate([np.repeat(np.arange(tv), kb), task[t_h[sel]]]),
-        np.concatenate([(snap[:, :tv] - l0v).T.ravel(), base[sel] - l0h[t_h[sel]]]),
-        np.concatenate([np.tile(grid.h[f.j0 : f.j1 + 1], tv), w[sel + 1]]),
-        np.concatenate([ntv, nh[small]]),
-        np.concatenate([l0v, l0h[small]]),
-        np.concatenate([dminv, dminh[small]]),
+        np.concatenate([np.repeat(np.arange(tv), kb), tv + t_h]),
+        np.concatenate([(snap[:, :tv] - l0v).T.ravel(), base - l0h[t_h]]),
+        np.concatenate([np.tile(grid.h[f.j0 : f.j1 + 1], tv), w[1 : last + 1]]),
+        np.concatenate([ntv, nh]),
+        np.concatenate([l0v, l0h]),
+        np.concatenate([dminv, dminh]),
     )
     read_v = ntv[t_v] - dv
-    okh = np.arange(kb)[:, None] <= h_rows[small]
-    read_h = nh[small] - np.where(okh, dh[:, small], 0)
-    bigv = [
-        (t, _series_values(
-            row[f.starts[t] : f.ends[t] + 1],
-            w[f.starts[t] : f.ends[t] + 1],
-            dh[: h_rows[t] + 1, t],
-            direct,
-        ))
-        for t in big
-    ]
+    okh = np.arange(kb)[:, None] <= h_rows
+    read_h = nh - np.where(okh, dh, 0)
 
     def finish(vals, slot):
-        rh = np.zeros((kb, th))
-        rh[:, small] = np.where(okh, vals[slot[tv:] + read_h], 0.0)
-        for t, v in bigv:
-            rh[: v.size, t] = v
-        return vals[slot[t_v] + read_v], rh
+        return vals[slot[t_v] + read_v], np.where(okh, vals[slot[tv:] + read_h], 0.0)
 
     return tasks, finish
 
@@ -550,7 +358,7 @@ def _band_sums(grid, family, direct=False):
     pending, size = [], 0
     for k, (j0, j1) in enumerate(bands):
         f = _BandFrame(grid, j0, j1)
-        tasks, finish = _band_tasks(grid, f, family, direct)
+        tasks, finish = _band_tasks(grid, f, family)
         pending.append((j0, f.bx, f.starts, tasks, finish))
         _, _, _, n_t, _, dmin = tasks
         size += int(np.sum(n_t - dmin + 1)) + sum(a.size for a in tasks)
@@ -648,7 +456,7 @@ def _abb_quadratic(grid):
     return out
 
 
-def _abb_decreasing(grid, direct=False):
+def _abb_decreasing(grid):
     """Closed-form decreasing-chain anchored-bbox engine.
 
     Below the anti-diagonal staircase ne+nw+se = n, so the NE sums are
@@ -713,14 +521,15 @@ def _abb_general(grid, direct=False):
     Within an empty block only the ne+nw+se family needs a series
     evaluation (ne+nw and ne+se are the global reciprocals 1/(n-j+1) and
     1/(n-i+1)); each quadrant class gets its own prefix orientation over
-    the same slab sums.
+    the same slab sums.  Bands are made bottom to top: a point's NE and NW
+    parts from the bands below are running prefixes when its band is made,
+    and each band adds its SE column prefixes to the points of the bands
+    below it, so a point's SE parts arrive nearest band first.
     """
     n = grid.n
-    per_band_vse = []
+    out = np.zeros(n + 1)
     acc_ne = np.zeros(n + 1)
     acc_nw = np.zeros(n + 2)
-    inband = np.zeros(n + 1)
-    points_by_band = []
     w = grid.w[1:]
     inv_ne_se = 1.0 / (n - np.arange(1, n + 1) + 1.0)
     for j0, bx, starts, r3, sh_r3 in _band_sums(grid, _den3_family, direct):
@@ -751,18 +560,11 @@ def _abb_general(grid, direct=False):
         vals[up] += s_se[r_p[up] + 1, tt[up]]
         right = tt + 1 < B
         vals[right] += s_nw[r_p[right], tt[right] + 1]
-        inband[bx] = vals
-        points_by_band.append(bx)
+        out[bx] = vals
         acc_ne[1:] += np.cumsum(sig_ne_v)
         acc_nw[1 : n + 1] += np.cumsum(sig_nw_v[::-1])[::-1]
-        per_band_vse.append(np.cumsum(sig_se_v))
-    # Second pass: SE contributions come from bands strictly above.
-    acc_se = np.zeros(n)
-    out = np.zeros(n + 1)
-    for bi in range(len(points_by_band) - 1, -1, -1):
-        bx = points_by_band[bi]
-        out[bx] = inband[bx] + acc_se[bx - 1]
-        acc_se += per_band_vse[bi]
+        below = np.nonzero(grid.Y[1:] < j0)[0]  # x ranks - 1 of finished points
+        out[below + 1] += np.cumsum(sig_se_v)[below]
     return out
 
 
@@ -784,7 +586,7 @@ def _solve_quadrant_ar(pts_q, method, direct=False):
     elif method == "general":
         vals = _ar_general(grid, direct)
     elif np.array_equal(Y, np.arange(1, grid.n + 1)):
-        vals = _ar_increasing(grid, direct)
+        vals = _ar_increasing(grid)
     elif np.array_equal(Y, np.arange(grid.n, 0, -1)):
         vals = _ar_decreasing(grid, direct)
     else:
@@ -802,9 +604,9 @@ def _solve_quadrant_abb(pts_q, method, direct=False):
     elif np.array_equal(Y, np.arange(1, grid.n + 1)):
         # On an increasing chain the anchored bounding box of every
         # coalition coincides with its union of anchored rectangles.
-        vals = _ar_increasing(grid, direct)
+        vals = _ar_increasing(grid)
     elif np.array_equal(Y, np.arange(grid.n, 0, -1)):
-        vals = _abb_decreasing(grid, direct)
+        vals = _abb_decreasing(grid)
     else:
         vals = _abb_general(grid, direct)
     return _values_by_xrank_to_original(grid, vals)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisDegeneracyError, DomainError, GeneralPositionError
+from .errors import DomainError, GeneralPositionError
 
 DEGENERACY_TOL = 1e-12
 
@@ -42,44 +42,6 @@ def as_points(points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise DomainError("point coordinates must be finite")
     return pts
-
-
-class PointSet:
-    """Validated planar point set with coordinate ranks.
-
-    ``x_ranks[i]`` is the 1-based rank of point ``i`` among the distinct
-    x coordinates (and similarly ``y_ranks``); ranks are only meaningful
-    when the corresponding coordinates are pairwise distinct.
-    """
-
-    def __init__(self, points, require_distinct_coords=False):
-        self.points = as_points(points)
-        self.n = self.points.shape[0]
-        dup = _duplicate_point_pair(self.points)
-        if dup is not None:
-            raise GeneralPositionError(
-                f"points {dup[0]} and {dup[1]} coincide", offending=[dup]
-            )
-        self.x_distinct = len(np.unique(self.points[:, 0])) == self.n
-        self.y_distinct = len(np.unique(self.points[:, 1])) == self.n
-        if require_distinct_coords and not (self.x_distinct and self.y_distinct):
-            raise GeneralPositionError("points share an x or y coordinate")
-        self.x_ranks = np.argsort(np.argsort(self.points[:, 0], kind="stable")) + 1
-        self.y_ranks = np.argsort(np.argsort(self.points[:, 1], kind="stable")) + 1
-
-    def __len__(self):
-        return self.n
-
-
-def _duplicate_point_pair(pts):
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    sp = pts[order]
-    same = np.all(sp[1:] == sp[:-1], axis=1)
-    hits = np.nonzero(same)[0]
-    if hits.size:
-        k = hits[0]
-        return int(order[k]), int(order[k + 1])
-    return None
 
 
 def check_distinct_coords(pts):
@@ -114,11 +76,6 @@ def orientation(a, b, c):
     if det < -tol:
         return -1
     return 0
-
-
-def signed_area(a, b, c):
-    """Signed area of triangle abc (positive when ccw)."""
-    return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
 def convex_hull(points):
@@ -260,55 +217,3 @@ def min_enclosing_disk(points):
                     disk = cd
                     basis = (int(k), int(j), int(i))
     return disk, tuple(sorted(basis))
-
-
-_QUADRANT_SIGNS = {
-    "ne": (1.0, 1.0),
-    "nw": (-1.0, 1.0),
-    "sw": (-1.0, -1.0),
-    "se": (1.0, -1.0),
-}
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """Axis-reflection record: maps p to (sx * x, sy * y); self-inverse."""
-
-    sx: float
-    sy: float
-
-    def apply(self, points):
-        pts = as_points(points)
-        return pts * np.array([self.sx, self.sy])
-
-    def invert(self, points):
-        return self.apply(points)
-
-
-def reflect_to_positive_quadrant(points, quadrant):
-    """Reflect points from the named open quadrant into the open positive one.
-
-    Returns (reflected points, isometry).  Shapley values are invariant under
-    the isometry, so only the point identities need mapping back.
-    """
-    if quadrant not in _QUADRANT_SIGNS:
-        raise DomainError(f"unknown quadrant id {quadrant!r}")
-    pts = as_points(points)
-    if np.any(pts[:, 0] == 0.0) or np.any(pts[:, 1] == 0.0):
-        raise AxisDegeneracyError("point lies exactly on a coordinate axis")
-    sx, sy = _QUADRANT_SIGNS[quadrant]
-    iso = Isometry(sx, sy)
-    out = iso.apply(pts)
-    if np.any(out <= 0.0):
-        raise DomainError(f"points are not strictly inside the {quadrant} quadrant")
-    return out, iso
-
-
-def quadrant_of(point):
-    """Open-quadrant id of a point, or None if it lies on an axis."""
-    x, y = point
-    if x == 0.0 or y == 0.0:
-        return None
-    if x > 0.0:
-        return "ne" if y > 0.0 else "se"
-    return "nw" if y > 0.0 else "sw"

@@ -452,13 +452,22 @@ def test_criterion_7_golden_values():
     report(7, "golden-values", not failures, "; ".join(failures) or "all golden")
 
 
+def _timed(fn, pts):
+    t0 = time.perf_counter()
+    fn(pts)
+    return time.perf_counter() - t0
+
+
 def _fit_slope(fn, sizes, gen):
+    """Slope of log time against log n.  An untimed warm-up call comes
+    first, and each of the two smallest sizes takes the least of three
+    calls: a slow first call would otherwise flatten the fit."""
     ts = []
-    for n in sizes:
+    for k, n in enumerate(sizes):
         pts = gen(n)
-        t0 = time.perf_counter()
-        fn(pts)
-        ts.append(time.perf_counter() - t0)
+        if k == 0:
+            fn(pts)
+        ts.append(min(_timed(fn, pts) for _ in range(3 if k < 2 else 1)))
     return float(np.polyfit(np.log(sizes), np.log(ts), 1)[0]), ts
 
 

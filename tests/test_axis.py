@@ -4,19 +4,14 @@ import pytest
 from geoshapley import axis
 from geoshapley.algebra import RationalStepSeries, direct_rational_eval
 from geoshapley.axis import (
-    Block,
     GridArrangement,
-    psi_weights,
     shapley_anchored_bbox,
     shapley_anchored_bbox_quadratic,
     shapley_anchored_rects,
     shapley_anchored_rects_quadratic,
     shapley_bbox,
     shapley_bbox_quadratic,
-    sigma_psi_slabs_empty_block,
-    sigma_slabs_empty_block,
 )
-from geoshapley.dominance import build_dominance_index
 from geoshapley.errors import AxisDegeneracyError, DomainError, GeneralPositionError
 from geoshapley.oracle import shapley_by_permutations
 
@@ -53,176 +48,14 @@ class TestGridArrangement:
             GridArrangement([(1, 1), (2, 1), (1, 3)])
         assert exc.value.offending == ((0, 2), (0, 1))
 
-    def test_dominance_counts_single_point(self):
-        g = GridArrangement([(1, 1)])
-        assert g.ne(1, 1) == 1 and g.nw(1, 1) == 0 and g.se(1, 1) == 0
-
     def test_decreasing_chain_closed_form(self, rng):
         n = 12
         g = GridArrangement(make_chain(rng, n, inc=False))
+        tbl = ne_table(g)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 expect = n + 2 - i - j if i + j <= n + 1 else 0
-                assert g.ne(i, j) == expect
-
-    def test_empty_block_detection(self, rng):
-        pts = random_points(rng, 8)
-        g = GridArrangement(pts)
-        # single rows/columns are always empty
-        assert g.is_empty_block(Block(1, 8, 3, 3))
-        assert g.is_empty_block(Block(5, 5, 1, 8))
-        # the full grid is empty only for n <= ... here it must contain a point
-        assert not g.is_empty_block(Block(1, 8, 1, 8))
-
-
-class TestDominanceIndex:
-    def test_single_point(self):
-        idx = build_dominance_index([(1, 1)])
-        c = idx.counts((0.5, 0.5))
-        assert (c.ne, c.nw, c.se) == (1, 0, 0)
-
-    def test_decreasing_chain_cells(self, rng):
-        n = 30
-        pts = make_chain(rng, n, inc=False)
-        g = GridArrangement(pts)
-        idx = build_dominance_index(pts)
-        for i in range(1, n + 1, 3):
-            for j in range(1, n + 1, 3):
-                q = (g.x[i] - 0.25 * g.w[i], g.y[j] - 0.25 * g.h[j])
-                expect = n + 2 - i - j if i + j <= n + 1 else 0
-                assert idx.ne(q) == expect
-
-    def test_random_queries_match_scans(self, rng):
-        pts = rng.uniform(-10, 10, (200, 2))
-        idx = build_dominance_index(pts)
-        for _ in range(500):
-            q = rng.uniform(-11, 11, 2)
-            ne = int(np.sum((pts[:, 0] >= q[0]) & (pts[:, 1] >= q[1])))
-            nw = int(np.sum((pts[:, 0] <= q[0]) & (pts[:, 1] >= q[1])))
-            se = int(np.sum((pts[:, 0] >= q[0]) & (pts[:, 1] <= q[1])))
-            assert idx.ne(q) == ne and idx.nw(q) == nw and idx.se(q) == se
-
-
-class TestPsiWeights:
-    def test_collapse_single_ne(self):
-        w = psi_weights(1, 0, 0)
-        assert_close([w.psi_ne], [1.0])
-
-    def test_paper_identity_cell(self):
-        w = psi_weights(1, 1, 1)
-        assert_close([w.psi_ne, w.psi_nw, w.psi_se], [2 / 3, 1 / 6, 1 / 6])
-        assert_close(w.psi_ne + w.psi_nw + w.psi_se, 1.0)
-
-    def test_identity_on_random_grids(self, rng):
-        pts = random_points(rng, 40)
-        g = GridArrangement(pts)
-        n = g.n
-        for _ in range(200):
-            i = rng.integers(1, n + 1)
-            j = rng.integers(1, n + 1)
-            ne, nw, se = g.ne(i, j), g.nw(i, j), g.se(i, j)
-            if ne < 1:
-                continue
-            w = psi_weights(ne, nw, se)
-            assert_close(ne * w.psi_ne + nw * w.psi_nw + se * w.psi_se, 1.0, rel=1e-12)
-
-
-def random_empty_blocks(rng, grid, count=6):
-    """Empty blocks built the way the band engine builds them."""
-    n = grid.n
-    blocks = []
-    for _ in range(count):
-        j0 = int(rng.integers(1, n + 1))
-        j1 = int(rng.integers(j0, min(n, j0 + 4) + 1))
-        inside = sorted(int(i) for i in range(1, n + 1) if j0 <= grid.Y[i] <= j1)
-        prev = 0
-        for b in inside + [n]:
-            if prev + 1 <= b:
-                blocks.append(Block(prev + 1, b, j0, j1))
-            prev = b
-    return blocks
-
-
-class TestSigmaSlabs:
-    def test_single_cell(self):
-        g = GridArrangement([(2, 3)])
-        out = sigma_slabs_empty_block(g, Block(1, 1, 1, 1), "vertical")
-        assert_close(out, [6.0])  # area 6, ne 1
-
-    def test_matches_per_cell_sums(self, rng):
-        pts = random_points(rng, 24)
-        g = GridArrangement(pts)
-        tbl = ne_table(g)
-        for block in random_empty_blocks(rng, g):
-            if tbl[block.i1, block.j1] < 1:
-                continue
-            cols = np.arange(block.i0, block.i1 + 1)
-            rows = np.arange(block.j0, block.j1 + 1)
-            vert = sigma_slabs_empty_block(g, block, "vertical")
-            expect = [
-                sum(g.cell_area(i, j) / tbl[i, j] for j in rows) for i in cols
-            ]
-            assert_close(vert, expect, rel=1e-10)
-            horiz = sigma_slabs_empty_block(g, block, "horizontal")
-            expect = [
-                sum(g.cell_area(i, j) / tbl[i, j] for i in cols) for j in rows
-            ]
-            assert_close(horiz, expect, rel=1e-10)
-
-    def test_nonempty_block_rejected(self, rng):
-        pts = random_points(rng, 10)
-        g = GridArrangement(pts)
-        with pytest.raises(DomainError):
-            sigma_slabs_empty_block(g, Block(1, 10, 1, 10), "vertical")
-
-    def test_zero_ne_rejected(self, rng):
-        pts = random_points(rng, 6)
-        g = GridArrangement(pts)
-        # topmost-right cell beyond every point has ne = 0
-        i_top = int(np.argmax(g.Y[1:])) + 1
-        if g.ne(g.n, g.n) == 0:
-            row = g.n
-            with pytest.raises(DomainError):
-                sigma_slabs_empty_block(g, Block(g.n, g.n, row, row), "vertical")
-        assert i_top >= 1
-
-
-class TestSigmaPsiSlabs:
-    def test_single_cell_pure_ne(self):
-        g = GridArrangement([(2, 3)])
-        out = sigma_psi_slabs_empty_block(g, Block(1, 1, 1, 1), "vertical", "ne")
-        assert_close(out, [6.0])  # psi_ne = 1 for ne=1, nw=se=0
-
-    @pytest.mark.parametrize("which", ["ne", "nw", "se"])
-    @pytest.mark.parametrize("axis", ["vertical", "horizontal"])
-    def test_matches_per_cell_sums(self, rng, which, axis):
-        pts = random_points(rng, 20)
-        g = GridArrangement(pts)
-        tbl = ne_table(g)
-        n = g.n
-        for block in random_empty_blocks(rng, g, count=4):
-            cols = np.arange(block.i0, block.i1 + 1)
-            rows = np.arange(block.j0, block.j1 + 1)
-            out = sigma_psi_slabs_empty_block(g, block, axis, which)
-
-            def cell(i, j):
-                ne = tbl[i, j]
-                nw = (n - j + 1) - ne
-                se = (n - i + 1) - ne
-                den3 = (n - j + 1) + (n - i + 1) - ne
-                val = {
-                    "ne": 1.0 / (n - j + 1) + 1.0 / (n - i + 1) - 1.0 / den3,
-                    "nw": 1.0 / (n - j + 1) - 1.0 / den3,
-                    "se": 1.0 / (n - i + 1) - 1.0 / den3,
-                }[which]
-                assert nw >= 0 and se >= 0
-                return g.cell_area(i, j) * val
-
-            if axis == "vertical":
-                expect = [sum(cell(i, j) for j in rows) for i in cols]
-            else:
-                expect = [sum(cell(i, j) for i in cols) for j in rows]
-            assert_close(out, expect, rel=1e-10)
+                assert tbl[i, j] == expect
 
 
 class TestAnchoredRects:
@@ -288,7 +121,7 @@ class TestAnchoredRects:
             i_p = g.x_rank[k]
             j_p = g.y_rank[k]
             expect = sum(
-                g.cell_area(i, j) / tbl[i, j]
+                g.w[i] * g.h[j] / tbl[i, j]
                 for i in range(1, i_p + 1)
                 for j in range(1, j_p + 1)
             )
@@ -473,18 +306,41 @@ class TestChainBoundaries:
             assert_close(fast(ch, direct_series=True).values, q, rel=1e-9, abs_floor=1e-13)
 
 
+def band_staircase(rng, n):
+    """Points whose every horizontal band (the engine's bands of y ranks)
+    lies right of all points above it, so each band's first block spans
+    the columns of every higher band: one long horizontal series beside
+    blocks of a column or two."""
+    kb = axis._band_rows(n)[0][1]
+    key = rng.uniform(0.0, 1.0, n) - np.arange(n) // kb  # by y rank
+    x = np.sort(rng.uniform(0.1, 10.0, n))[np.argsort(np.argsort(key))]
+    return np.column_stack([x, np.sort(rng.uniform(0.1, 10.0, n))])
+
+
+# Budget 1 puts one band in each pool, 20000 a few.  The staircase runs
+# with both series modes.
+POOL_CASES = [
+    pytest.param(game, budget, "uniform", False, id=f"{game}-{budget}")
+    for game in ("anchored-rects", "anchored-bbox")
+    for budget in (1, 20000)
+] + [
+    pytest.param(game, 1, "staircase", direct, id=f"{game}-staircase-{mode}")
+    for game in ("anchored-rects", "anchored-bbox")
+    for direct, mode in ((False, "fft"), (True, "direct"))
+]
+
+
 class TestBandPools:
-    @pytest.mark.parametrize("budget", [1, 20000])  # one band per pool; a few
-    @pytest.mark.parametrize("game", ["anchored-rects", "anchored-bbox"])
-    def test_pool_budget_does_not_change_values(self, rng, monkeypatch, game, budget):
+    @pytest.mark.parametrize("game, budget, shape, direct", POOL_CASES)
+    def test_pool_budget_does_not_change_values(self, rng, monkeypatch, game, budget, shape, direct):
         fast, quadratic = {
             "anchored-rects": (shapley_anchored_rects, shapley_anchored_rects_quadratic),
             "anchored-bbox": (shapley_anchored_bbox, shapley_anchored_bbox_quadratic),
         }[game]
-        pts = random_points(rng, 700)
-        pooled = fast(pts, method="general").values
+        pts = random_points(rng, 700) if shape == "uniform" else band_staircase(rng, 700)
+        pooled = fast(pts, method="general", direct_series=direct).values
         monkeypatch.setattr(axis, "_POOL", budget)
-        small = fast(pts, method="general").values
+        small = fast(pts, method="general", direct_series=direct).values
         assert_close(small, pooled, rel=1e-12, abs_floor=0.0)
         q = quadratic(pts).values
         assert_close(pooled, q, rel=1e-9, abs_floor=1e-13)

@@ -1,19 +1,14 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoshapley.errors import AxisDegeneracyError, DomainError, GeneralPositionError
 from geoshapley.geometry import (
-    PointSet,
     convex_hull,
     hull_area,
     hull_perimeter,
     min_enclosing_disk,
-    quadrant_of,
-    reflect_to_positive_quadrant,
 )
 
 from conftest import assert_close, random_plane_points
@@ -142,53 +137,3 @@ def _brute_force_med(pts):
             if best is None or d.radius < best.radius:
                 best = d
     return best
-
-
-class TestReflection:
-    def test_nw_reflection(self):
-        out, iso = reflect_to_positive_quadrant([(-2, 3)], "nw")
-        assert_close(out, [(2, 3)])
-        assert_close(iso.invert(out), [(-2, 3)])
-
-    def test_identity_on_positive(self):
-        out, iso = reflect_to_positive_quadrant([(2, 3)], "ne")
-        assert_close(out, [(2, 3)])
-        assert (iso.sx, iso.sy) == (1.0, 1.0)
-
-    def test_axis_point_rejected(self):
-        with pytest.raises(AxisDegeneracyError):
-            reflect_to_positive_quadrant([(0, 1)], "ne")
-
-    def test_wrong_quadrant_rejected(self):
-        with pytest.raises(DomainError):
-            reflect_to_positive_quadrant([(1, 1)], "nw")
-
-    def test_roundtrip_is_identity(self, rng):
-        for quad in ("ne", "nw", "sw", "se"):
-            sx = 1 if quad in ("ne", "se") else -1
-            sy = 1 if quad in ("ne", "nw") else -1
-            pts = random_plane_points(rng, 20) * 0 + np.abs(
-                random_plane_points(rng, 20)
-            ) * [sx, sy]
-            out, iso = reflect_to_positive_quadrant(pts, quad)
-            assert np.all(out > 0)
-            assert_close(iso.invert(out), pts, rel=1e-15)
-
-    def test_quadrant_of(self):
-        assert quadrant_of((1, 1)) == "ne"
-        assert quadrant_of((-1, 1)) == "nw"
-        assert quadrant_of((-1, -1)) == "sw"
-        assert quadrant_of((1, -1)) == "se"
-        assert quadrant_of((0, 1)) is None
-
-
-class TestPointSet:
-    def test_duplicate_points_rejected(self):
-        with pytest.raises(GeneralPositionError):
-            PointSet([(1, 2), (1, 2)])
-
-    def test_ranks(self):
-        ps = PointSet([(3, 1), (1, 3), (2, 2)])
-        assert list(ps.x_ranks) == [3, 1, 2]
-        assert list(ps.y_ranks) == [1, 3, 2]
-        assert ps.x_distinct and ps.y_distinct
