@@ -1,14 +1,23 @@
 """Shapley values for the convex-hull area and perimeter games.
 
 For a directed pair (q, q'), level(q, q') counts the points strictly left
-of the line q -> q'.  The area engine sums, for every point p, the
-rho-weighted linear forms of the triangles p-q-q' over all pairs whose
-left halfplane contains p.  Levels and the per-point aggregation are both
-done with one angular sweep around each point: sorting the other points
-by direction turns both "count points in a halfplane" and "sum weights of
-pairs whose halfplane contains p" into circular window sums, which prefix
-sums answer in O(log n) per query.  Each directed pair is seen from both
-of its endpoints, hence the final division by two.
+of the line q -> q'.  Both engines are one angular sweep around every
+source point r, run for a block of sources at a time as row-wise array
+passes.  Each row sorts the other points by direction mod pi (the
+direction of their line through r) and splits them into the two half
+turns [0, pi) and [pi, 2 pi).  Every point p then sees the half plane
+left of r -> p as the points after it in its own half turn plus those
+before it in the other one, so one prefix sum of half-turn-signed weights
+answers "count the points in a half plane" (the levels) and "sum the
+weights of the pairs (r, s) whose half plane holds p" for a whole row.
+
+The area game gives p the triangle area(p, r, s) = cross(s - r, p - r) / 2
+for each pair whose left half plane holds p, weighted by rho(level).
+Summing the rho-weighted vectors s - r over those pairs first, every p
+takes its share from source r as one cross product with p - r.  Only
+coordinate differences enter, so translating the input leaves the
+values unchanged up to rounding.  Each directed pair is seen from both of
+its endpoints, hence the final halving.
 """
 
 from __future__ import annotations
@@ -22,6 +31,12 @@ from .errors import DomainError, GeneralPositionError
 from .games import ShapleyVector
 
 _ANGLE_TOL = 1e-12
+
+# Array elements (sources x points) per block of the sweep.  A block keeps
+# about twenty arrays of this size alive, so 2^12 elements hold its working
+# set near 0.5 MB while numpy's per-call cost stays small against the work;
+# 2^13 and 2^14 were no more than 5% faster from n = 250 to 2000.
+_BLOCK = 1 << 12
 
 
 def rho(level):
@@ -54,67 +69,67 @@ def _rho_prime_array(levels):
     return 1.0 / ((lv + 2.0) * (lv + 1.0))
 
 
-class _AngularView:
-    """Sorted directions around one source point r.
+def _sweep(pts):
+    """Angular sweeps around every source, one block of sources at a time.
 
-    Exposes circular window sums over the other points: windows are
-    half-open direction arcs of length pi, evaluated on a doubled sorted
-    array so no wraparound branching is needed.
+    Yields (rows, idx, d, sign, level) per block; row i describes source
+    rows[i] and its columns the other points in order of direction mod pi:
+    idx holds their indices, d = point - source as complex numbers, sign
+    is +1 for a direction in [0, pi) and -1 in [pi, 2 pi), and level is
+    level(source, point).
     """
+    n = pts.shape[0]
+    m = n - 1
+    z = pts[:, 0] + 1j * pts[:, 1]
+    step = max(1, _BLOCK // n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(n, start + step))
+        d = z[None, :] - z[rows, None]
+        theta = np.angle(d)
+        up = (theta >= 0.0) & (theta < math.pi)
+        # equal to np.mod(theta, pi), which costs four times as much
+        mod = np.where(up, theta, theta - np.copysign(math.pi, theta))
+        mod[np.arange(rows.size), rows] = 4.0  # the source sorts last: dropped
+        idx = np.argsort(mod, axis=1)[:, :m]
+        flat = idx + n * np.arange(rows.size)[:, None]
+        mod = np.take(mod, flat)
+        gaps = np.diff(mod, axis=1)
+        wrap = math.pi - (mod[:, -1] - mod[:, 0])
+        bad = np.any(gaps < _ANGLE_TOL, axis=1) | (wrap < _ANGLE_TOL)
+        if bad.any():
+            raise _position_error(pts, int(rows[np.argmax(bad)]))
+        sign = np.where(np.take(up, flat), 1, -1)
+        # Points strictly left of source -> p: those after p in its half
+        # turn and those before p in the other.  With c the running sum of
+        # signs, that count is (m + sign * (c[-1] - 2 c)) / 2.
+        c = np.cumsum(sign, axis=1)
+        level = (m + sign * (c[:, -1:] - 2 * c)) // 2
+        yield rows, idx, np.take(d, flat), sign, level
 
-    def __init__(self, pts, r):
-        self.r = r
-        self.m = pts.shape[0] - 1
-        self.others = np.delete(np.arange(pts.shape[0]), r)
-        d = pts[self.others] - pts[r]
-        theta = np.arctan2(d[:, 1], d[:, 0])
-        order = np.argsort(theta, kind="stable")
-        self.idx = self.others[order]
-        self.theta = theta[order]
-        self.d = d[order]
-        self._check_general_position()
-        self.t2 = np.concatenate([self.theta, self.theta + 2.0 * math.pi])
-        # Antipode split: elements of the doubled array strictly inside
-        # (theta_k, theta_k + pi) occupy indices (k, hi_k); the complementary
-        # arc (theta_k - pi, theta_k) occupies [hi_k, k + m).  Index-based
-        # windows avoid any float arithmetic on arc endpoints, so a query
-        # never swallows its own doubled copy.
-        self.hi = np.searchsorted(self.t2, self.theta + math.pi, side="left")
 
-    def _check_general_position(self):
-        if self.m < 2:
-            return
-        mod = np.sort(np.mod(self.theta, math.pi))
-        gaps = np.diff(mod)
-        wrap = math.pi - (mod[-1] - mod[0])
-        if np.any(gaps < _ANGLE_TOL) or wrap < _ANGLE_TOL:
-            # Report the adjacent pair of directions with the smallest gap
-            # (mod pi, the wrap gap joining the last direction to the first).
-            order = np.argsort(np.mod(self.theta, math.pi), kind="stable")
-            k = int(np.argmin(np.append(gaps, wrap)))
-            a, b = self.idx[order[k]], self.idx[order[(k + 1) % self.m]]
-            raise GeneralPositionError(
-                "three points are collinear or nearly so",
-                offending=[tuple(sorted((self.r, int(a), int(b))))],
-            )
+def _position_error(pts, r):
+    """The error for a source whose directions are not distinct mod pi,
+    naming the adjacent pair at the smallest gap (the wrap gap joins the
+    last direction to the first); ties order by direction, then index."""
+    others = np.delete(np.arange(pts.shape[0]), r)
+    d = pts[others] - pts[r]
+    theta = np.arctan2(d[:, 1], d[:, 0])
+    mod = np.mod(theta, math.pi)
+    order = np.lexsort((theta, mod))
+    mod = mod[order]
+    k = int(np.argmin(np.append(np.diff(mod), math.pi - (mod[-1] - mod[0]))))
+    a, b = others[order[k]], others[order[(k + 1) % others.size]]
+    return GeneralPositionError(
+        "three points are collinear or nearly so",
+        offending=[tuple(sorted((r, int(a), int(b))))],
+    )
 
-    def window_counts(self):
-        """level(r, s) for every other point s: the number of points with
-        direction strictly inside (theta_s, theta_s + pi)."""
-        return self.hi - np.arange(1, self.m + 1)
 
-    def _prefix(self, weights):
-        return np.concatenate([[0.0], np.cumsum(np.concatenate([weights, weights]))])
-
-    def sum_forward(self, weights):
-        """Per query k, sum of weights over directions in (theta_k, theta_k + pi)."""
-        pref = self._prefix(weights)
-        return pref[self.hi] - pref[np.arange(1, self.m + 1)]
-
-    def sum_backward(self, weights):
-        """Per query k, sum of weights over directions in (theta_k - pi, theta_k)."""
-        pref = self._prefix(weights)
-        return pref[np.arange(self.m) + self.m] - pref[self.hi]
+def _window_sums(sign, q, total):
+    """Per point p of a row, u summed over p and the points right of
+    source -> p, plus v summed over the points left of it; q is the running
+    sum of sign * (u - v) along the row and total the row sum of u + v."""
+    return 0.5 * total + sign * (q - 0.5 * q[:, -1:])
 
 
 def all_pair_levels(points):
@@ -126,66 +141,43 @@ def all_pair_levels(points):
     pts = geometry.as_points(points)
     n = pts.shape[0]
     table = np.full((n, n), -1, dtype=np.int64)
-    for r in range(n):
-        view = _AngularView(pts, r)
-        table[r, view.idx] = view.window_counts()
+    if n >= 2:
+        for rows, idx, _, _, level in _sweep(pts):
+            table[rows[:, None], idx] = level
     return table
-
-
-def _triangle_form(pts, r, view):
-    """Linear-form coefficients (a, b, c) with area(tri p,r,s) =
-    a x(p) + b y(p) + c for p left of r -> s, for every s in sorted order."""
-    rs = view.d  # s - r in sorted order
-    xr, yr = pts[r]
-    a = -0.5 * rs[:, 1]
-    b = 0.5 * rs[:, 0]
-    # constant term x_r y_s - x_s y_r, with (x_s, y_s) = r + rs
-    c = 0.5 * (xr * (rs[:, 1] + yr) - (rs[:, 0] + xr) * yr)
-    return a, b, c
 
 
 def shapley_hull_area(points):
     """Shapley values of the hull-area game in O(n^2 log n).
 
-    For each source r the directed pairs (r, s) and (s, r) carry the
-    rho-weighted triangle forms; circular prefix sums aggregate them into
-    the per-point linear coefficients, and every pair is counted from both
-    endpoints, so the aggregate is halved.
+    From source r, p collects rho(level(r, s)) (s - r) over the points s
+    with p left of r -> s and -rho(level(s, r)) (s - r) over those with p
+    right of it.  Half the cross product of that sum with p - r is p's
+    rho-weighted triangle area over the pairs (r, s) and (s, r); halving
+    again undoes seeing each pair from both of its endpoints.
     """
     pts = geometry.as_points(points)
     n = pts.shape[0]
     total = geometry.hull_area(geometry.convex_hull(pts))
     if n <= 2:
         return ShapleyVector(np.zeros(n), total, "hull-area")
-    acc = np.zeros((n, 3))
-    for r in range(n):
-        view = _AngularView(pts, r)
-        lv_rs = view.window_counts()
-        lv_sr = n - 2 - lv_rs
-        w_rs = _rho_array(lv_rs)
-        w_sr = _rho_array(lv_sr)
-        a, b, c = _triangle_form(pts, r, view)
-        for k, coef in enumerate((a, b, c)):
-            # p in H(r, s): directions s in (theta_p - pi, theta_p)
-            s1 = view.sum_backward(coef * w_rs)
-            # p in H(s, r): directions s in (theta_p, theta_p + pi);
-            # the (s, r) form is the negated (r, s) form.
-            s2 = view.sum_forward(-coef * w_sr)
-            acc[view.idx, k] += s1 + s2
-    acc *= 0.5
-    values = acc[:, 0] * pts[:, 0] + acc[:, 1] * pts[:, 1] + acc[:, 2]
-    return ShapleyVector(values, total, "hull-area")
+    rho_lv = _rho_array(np.arange(n - 1))
+    plus = rho_lv + rho_lv[::-1]  # rho(level(r, s)) + rho(level(s, r))
+    minus = rho_lv - rho_lv[::-1]
+    acc = np.zeros(n)
+    for _, idx, d, sign, level in _sweep(pts):
+        q = np.cumsum(sign * plus[level] * d, axis=1)
+        v = _window_sums(sign, q, np.sum(minus[level] * d, axis=1)[:, None])
+        # u_p is parallel to p - r, so it drops out of the cross product
+        acc += np.bincount(idx.ravel(), (v.conj() * d).imag.ravel(), minlength=n)
+    return ShapleyVector(0.25 * acc, total, "hull-area")
 
 
-def shapley_hull_area_naive(points):
-    """Per-point direct evaluation of the pair sum; O(n^3) cross-check."""
-    pts = geometry.as_points(points)
+def _naive_left_sums(pts, weight, term):
+    """values[p] = sum of term(cross, weight[q, s]) over the directed pairs
+    (q, s) with p strictly left of q -> s, where cross is
+    cross(s - q, p - q); O(n^3)."""
     n = pts.shape[0]
-    total = geometry.hull_area(geometry.convex_hull(pts))
-    if n <= 2:
-        return ShapleyVector(np.zeros(n), total, "hull-area")
-    levels = all_pair_levels(pts)
-    rho_tab = _rho_array(np.maximum(levels, 0))
     values = np.zeros(n)
     dx = pts[:, 0][None, :] - pts[:, 0][:, None]  # dx[q, s] = x_s - x_q
     dy = pts[:, 1][None, :] - pts[:, 1][:, None]
@@ -195,51 +187,57 @@ def shapley_hull_area_naive(points):
         mask[p, :] = False
         mask[:, p] = False
         np.fill_diagonal(mask, False)
-        values[p] = float(np.sum(0.5 * cross[mask] * rho_tab[mask]))
+        values[p] = float(np.sum(term(cross[mask], weight[mask])))
+    return values
+
+
+def shapley_hull_area_naive(points):
+    """Per-point direct evaluation of the pair sum; O(n^3) cross-check."""
+    pts = geometry.as_points(points)
+    n = pts.shape[0]
+    total = geometry.hull_area(geometry.convex_hull(pts))
+    if n <= 2:
+        return ShapleyVector(np.zeros(n), total, "hull-area")
+    rho_tab = _rho_array(np.maximum(all_pair_levels(pts), 0))
+    values = _naive_left_sums(pts, rho_tab, lambda cross, w: 0.5 * cross * w)
     return ShapleyVector(values, total, "hull-area")
 
 
 def shapley_hull_perimeter(points, naive=False):
     """Shapley values of the hull-perimeter game: phi_plus - phi_minus.
 
-    phi_plus sums |p-q| over both directed edge events; phi_minus reuses
-    the area engine's window machinery with scalar weights |q-q'| rho.
+    phi_plus sums |p-q| over both directed edge events; phi_minus sums
+    |q-q'| rho(level(q, q')) over the pairs whose left half plane holds p,
+    with the area engine's sweep (naive: a direct O(n^3) pair sum).
     """
     pts = geometry.as_points(points)
     n = pts.shape[0]
     total = geometry.hull_perimeter(geometry.convex_hull(pts))
     if n <= 1:
         return ShapleyVector(np.zeros(n), total, "hull-perimeter")
-    phi_plus = np.zeros(n)
-    phi_minus = np.zeros(n)
-    for r in range(n):
-        view = _AngularView(pts, r)
-        lv_rs = view.window_counts()
-        dist = np.hypot(view.d[:, 0], view.d[:, 1])
-        edge = dist * _rho_prime_array(lv_rs)
-        phi_plus[view.idx] += edge
-        phi_plus[r] += float(np.sum(edge))
-        if n >= 3:
-            w_rs = dist * _rho_array(lv_rs)
-            w_sr = dist * _rho_array(n - 2 - lv_rs)
-            if naive:
-                contrib = _window_sums_naive(view, w_rs, w_sr)
-            else:
-                contrib = view.sum_backward(w_rs) + view.sum_forward(w_sr)
-            phi_minus[view.idx] += contrib
-    phi_minus *= 0.5
-    return ShapleyVector(phi_plus - phi_minus, total, "hull-perimeter")
+    if naive:
+        return ShapleyVector(_perimeter_naive(pts), total, "hull-perimeter")
+    rho_lv = _rho_array(np.arange(n - 1))
+    plus = rho_lv + rho_lv[::-1]
+    minus = rho_lv - rho_lv[::-1]
+    rho_p = _rho_prime_array(np.arange(n - 1))
+    values = np.zeros(n)
+    for rows, idx, d, sign, level in _sweep(pts):
+        dist = np.abs(d)
+        edge = dist * rho_p[level]
+        values[rows] += np.sum(edge, axis=1)
+        q = np.cumsum(sign * dist * minus[level], axis=1)
+        cut = _window_sums(sign, q, np.sum(dist * plus[level], axis=1)[:, None])
+        cut -= dist * rho_lv[level]
+        values += np.bincount(idx.ravel(), (edge - 0.5 * cut).ravel(), minlength=n)
+    return ShapleyVector(values, total, "hull-perimeter")
 
 
-def _window_sums_naive(view, w_rs, w_sr):
-    """Direct O(m^2) window accumulation (cross-check path)."""
-    m = view.m
-    out = np.zeros(m)
-    for k in range(m):
-        tp = view.theta[k]
-        arc1 = np.mod(tp - view.theta, 2.0 * math.pi)
-        arc2 = np.mod(view.theta - tp, 2.0 * math.pi)
-        sel1 = (arc1 > 0) & (arc1 < math.pi)
-        sel2 = (arc2 > 0) & (arc2 < math.pi)
-        out[k] = float(np.sum(w_rs[sel1]) + np.sum(w_sr[sel2]))
-    return out
+def _perimeter_naive(pts):
+    """phi_plus - phi_minus by direct pair sums over all_pair_levels."""
+    levels = np.maximum(all_pair_levels(pts), 0)
+    dist = np.hypot(*(pts[None, :, :] - pts[:, None, :]).transpose(2, 0, 1))
+    edge = dist * _rho_prime_array(levels)
+    phi_plus = edge.sum(axis=0) + edge.sum(axis=1)
+    cut = dist * _rho_array(levels)
+    return phi_plus - _naive_left_sums(pts, cut, lambda cross, w: w)

@@ -169,7 +169,7 @@ def test_criterion_4_fast_vs_baseline_equivalence():
     )
     checks.append(
         (
-            "hull-perimeter fast=window-naive n=300",
+            "hull-perimeter fast=naive n=300",
             rel_diff(
                 shapley_hull_perimeter(pts300).values,
                 shapley_hull_perimeter(pts300, naive=True).values,

@@ -649,8 +649,8 @@ _GOLDEN_VERIFY = """\
 hull-area fast max_discrepancy=1.598e-15 PASS
 hull-area naive max_discrepancy=1.598e-15 PASS
 hull-area oracle-subset max_discrepancy=1.598e-15 PASS
-hull-perimeter fast max_discrepancy=2.167e-15 PASS
-hull-perimeter naive max_discrepancy=2.167e-15 PASS
+hull-perimeter fast max_discrepancy=1.703e-15 PASS
+hull-perimeter naive max_discrepancy=2.012e-15 PASS
 hull-perimeter oracle-subset max_discrepancy=1.858e-15 PASS
 disk-area fast max_discrepancy=1.290e-15 PASS
 disk-area naive max_discrepancy=1.477e-15 PASS

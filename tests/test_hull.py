@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geoshapley import hull
 from geoshapley.errors import DomainError, GeneralPositionError
 from geoshapley.geometry import convex_hull, hull_area, hull_perimeter
 from geoshapley.hull import (
@@ -174,3 +175,40 @@ class TestGeneralPosition:
         with pytest.raises(GeneralPositionError) as exc:
             solver([(0, 0), (1000, 0), (2000, 1.5e-9), (500, 700)])
         assert exc.value.offending == ((0, 1, 2),)
+
+    @pytest.mark.parametrize(
+        "solver", [shapley_hull_area, shapley_hull_perimeter, all_pair_levels]
+    )
+    def test_first_failing_source_past_first_block(self, solver):
+        # Only sources 262, 275 and 291 see two others within the angle
+        # tolerance; the sweep must name the lowest of them, which no
+        # block of the default size starts with.
+        pts = np.random.default_rng(11).uniform(-50.0, 50.0, (300, 2))
+        a, b = pts[262], pts[291]
+        normal = np.array([-(b - a)[1], (b - a)[0]])
+        pts[275] = a + 0.4 * (b - a) + 1e-14 * normal
+        assert 262 % max(1, hull._BLOCK // 300) != 0
+        with pytest.raises(GeneralPositionError) as exc:
+            solver(pts)
+        assert exc.value.offending == ((262, 275, 291),)
+
+
+@pytest.mark.parametrize("solver", [shapley_hull_area, shapley_hull_perimeter])
+def test_far_from_origin(solver):
+    # Only coordinate differences may enter: a shift by 1e6 must not move
+    # the values by more than rounding the shifted input does.
+    pts = np.random.default_rng(0).uniform(-5.0, 5.0, (40, 2))
+    assert_close(solver(pts + 1e6).values, solver(pts).values, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [7, 64, 301])
+def test_block_size_does_not_change_results(monkeypatch, n):
+    pts = np.random.default_rng(n).uniform(-50.0, 50.0, (n, 2))
+    area = shapley_hull_area(pts).values
+    perimeter = shapley_hull_perimeter(pts).values
+    levels = all_pair_levels(pts)
+    for block in (1, n * n):  # one source per block; all sources in one
+        monkeypatch.setattr(hull, "_BLOCK", block)
+        assert_close(shapley_hull_area(pts).values, area, rel=1e-12)
+        assert_close(shapley_hull_perimeter(pts).values, perimeter, rel=1e-12)
+        assert np.array_equal(all_pair_levels(pts), levels)
