@@ -58,7 +58,6 @@ from .hull import (
 )
 from .oracle import coalition_table, shapley_by_permutations, shapley_by_subsets
 from .permcount import (
-    SandwichCounts,
     TripleCounts,
     prob_first_of_A_before_B_or_C,
     prob_first_of_B_before_A_after_some_C,

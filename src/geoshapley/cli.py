@@ -26,6 +26,7 @@ from .errors import (
 )
 from .games import GAME_KINDS
 from .instances import random_chain, random_instance, verification_suite
+from .rowtext import row_texts
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -68,10 +69,6 @@ _CHUNK = 4096
 # the JSON reader its "points" list in pieces of about this many.
 _TEXT_BLOCK = 1 << 18
 _JSON_PIECE = 1 << 16
-
-# For a Python float, "%.17g" renders the same bytes as _fmt.
-_JSON_ROW = '{"index":%d,"point":[%.17g,%.17g],"shapley":%.17g}'
-_CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
 
 # The text of a JSON document {"points": [...]} before its first element,
 # and from the list's closing "]" on.  Only JSON's own whitespace counts.
@@ -240,33 +237,27 @@ def _parse_csv(text):
 
 def record_pieces(rec: ResultRecord, fmt):
     """The text of a record in ``fmt`` ("json" or "csv"): the head, then
-    one piece per _CHUNK rows, then the tail."""
+    one piece per _CHUNK rows, then the tail.
+
+    Every number is written as "%.17g" writes it.  The rows go through
+    rowtext.row_texts: a double d with 1e-6 <= |d| < 1e17 gets its 17
+    digits from an exact product d * 10^p, and ±0 is "0" or "-0".  A row
+    with a number outside that range (inf, nan, subnormals among them), or
+    with one whose exponent at 17 digits is below -6 or above 16, is
+    written by Python's "%.17g" instead.
+    """
     nums = (_fmt(rec.total), _fmt(rec.efficiency_residual), _fmt(rec.wall_time_ms))
     if fmt == "json":
         yield '{"game":"%s","n":%d,"algorithm":"%s","values":[' % (rec.game, rec.n, rec.algorithm)
-        row, sep = _JSON_ROW, ","
     else:
         yield (
             "# game=%s algorithm=%s n=%d total=%s efficiency_residual=%s wall_time_ms=%s\n"
             "index,x,y,shapley\n" % (rec.game, rec.algorithm, rec.n, *nums)
         )
-        row, sep = _CSV_ROW, ""
     pts = np.asarray(rec.points, dtype=float)
-    values = np.asarray(rec.values, dtype=float)
-    for lo in range(0, len(values), _CHUNK):
-        hi = min(lo + _CHUNK, len(values))
-        cols = (pts[lo:hi, 0].tolist(), pts[lo:hi, 1].tolist(), values[lo:hi].tolist())
-        yield (sep if lo else "") + sep.join(map(row.__mod__, zip(range(lo, hi), *cols)))
+    yield from row_texts(fmt, pts, np.asarray(rec.values, dtype=float), _CHUNK)
     if fmt == "json":
         yield '],"total":%s,"efficiency_residual":%s,"wall_time_ms":%s}' % nums
-
-
-def record_to_json(rec: ResultRecord):
-    return "".join(record_pieces(rec, "json"))
-
-
-def record_to_csv(rec: ResultRecord):
-    return "".join(record_pieces(rec, "csv"))
 
 
 def write_text(path, pieces):

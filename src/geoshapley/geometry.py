@@ -65,9 +65,7 @@ def orientation(a, b, c):
     Degenerate means |det| below DEGENERACY_TOL relative to the magnitude
     of the coordinate differences entering the determinant.
     """
-    det = math.fsum(
-        [(b[0] - a[0]) * (c[1] - a[1]), -(b[1] - a[1]) * (c[0] - a[0])]
-    )
+    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
     mx = max(abs(b[0] - a[0]), abs(c[0] - a[0]))
     my = max(abs(b[1] - a[1]), abs(c[1] - a[1]))
     tol = DEGENERACY_TOL * max(1.0, mx * my)
@@ -89,7 +87,7 @@ def convex_hull(points):
     if uniq.shape[0] == 1:
         return uniq
     order = np.lexsort((uniq[:, 1], uniq[:, 0]))
-    sp = uniq[order]
+    sp = uniq[order].tolist()  # Python floats: the same doubles, faster scalar arithmetic
 
     def half(chain_pts):
         chain = []

@@ -15,14 +15,6 @@ from .errors import DomainError
 
 
 @dataclass(frozen=True)
-class SandwichCounts:
-    """Sizes of the sets constrained after (alpha) and before (beta) x."""
-
-    alpha: int
-    beta: int
-
-
-@dataclass(frozen=True)
 class TripleCounts:
     """Sizes of the pairwise disjoint sets A, B, C."""
 

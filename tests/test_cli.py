@@ -1,21 +1,18 @@
 import io
 import json
+import math
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geoshapley import cli, games, hull, oracle
-from geoshapley.cli import (
-    ParseError,
-    ResultRecord,
-    main,
-    read_points,
-    record_to_csv,
-    record_to_json,
-)
+from geoshapley import cli, games, hull, oracle, rowtext
+from geoshapley.cli import ParseError, ResultRecord, main, read_points
 from geoshapley.dispatch import algorithms_for
 from geoshapley.games import GAME_KINDS
 
@@ -550,6 +547,69 @@ class TestStreamedReaders:
             assert np.array_equal(cli._parse_csv(text)[0], _numbered_points(300000))
 
 
+def record_to_json(rec):
+    return "".join(cli.record_pieces(rec, "json"))
+
+
+def record_to_csv(rec):
+    return "".join(cli.record_pieces(rec, "csv"))
+
+
+# The writer's rows as Python's "%.17g" formats them, one row at a time:
+# the oracle of the vectorised row kernel in rowtext.row_texts.
+_ORACLE_ROW = {
+    "json": '{"index":%d,"point":[%.17g,%.17g],"shapley":%.17g}',
+    "csv": "%d,%.17g,%.17g,%.17g\n",
+}
+
+
+def oracle_text(rec, fmt):
+    nums = tuple(format(float(v), ".17g") for v in (rec.total, rec.efficiency_residual,
+                                                    rec.wall_time_ms))
+    cols = (np.asarray(rec.points, dtype=float).tolist(), np.asarray(rec.values).tolist())
+    rows = [_ORACLE_ROW[fmt] % (i, x, y, v) for i, ((x, y), v) in enumerate(zip(*cols))]
+    if fmt == "json":
+        return (
+            '{"game":"%s","n":%d,"algorithm":"%s","values":[' % (rec.game, rec.n, rec.algorithm)
+            + ",".join(rows)
+            + '],"total":%s,"efficiency_residual":%s,"wall_time_ms":%s}' % nums
+        )
+    return (
+        "# game=%s algorithm=%s n=%d total=%s efficiency_residual=%s wall_time_ms=%s\n"
+        "index,x,y,shapley\n" % (rec.game, rec.algorithm, rec.n, *nums)
+    ) + "".join(rows)
+
+
+def _record(values):
+    """A record whose rows hold the given doubles, three to a row."""
+    d = np.asarray(values, dtype=float).reshape(-1, 3)
+    return ResultRecord("bbox-area", len(d), "auto", d[:, :2], d[:, 2], 1.5, -0.0, 2.5e-7)
+
+
+def _random_doubles(rng, size):
+    """Random float64 bit patterns: the first half raw, the second half with
+    the exponent field drawn over 2^-22..2^58, around the row kernel's range."""
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64)
+    tail = bits[size // 2 :]
+    exps = rng.integers(1023 - 22, 1023 + 58, tail.size).astype(np.uint64)
+    tail[:] = tail & np.uint64(0x800FFFFFFFFFFFFF) | exps << np.uint64(52)
+    return bits.view(np.float64)
+
+
+# Doubles at the row kernel's edges: ties at the 17th digit (18 digits,
+# the last a 5), each power of ten with the doubles on either side of it,
+# which also covers the ends of the range, and values outside it.
+_TIES = [1234567890123456.25, 1234567890123456.75, 123456789012345.625, 123456789012345.875,
+         12345678901234.5625, 12345678901234.6875]
+_POWERS = [float(10.0**k) for k in range(-7, 18)] + [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.1]
+_EDGES = sorted(
+    {v for p in _POWERS for v in (p, float(np.nextafter(p, 0)), float(np.nextafter(p, np.inf)))}
+    | set(_TIES)
+    | {0.0, 5e-324, 2.2250738585072014e-308, float(np.nextafter(2.2250738585072014e-308, 0)),
+       1e308, 1.7976931348623157e308, math.inf, 9999999999999998.0, 0.99999999999999989}
+)
+
+
 # Each row holds the same six awkward doubles in a different order.
 _SPECIAL = [-0.0, 5e-324, 1e308, 0.1, 1 / 3, 3.0]
 _SPECIAL_RECORD = ResultRecord(
@@ -627,6 +687,79 @@ class TestWriters:
         capsys.readouterr()
         cli.write_text("-", cli.record_pieces(rec, fmt))
         assert capsys.readouterr().out == (text if fmt == "csv" else text + "\n")
+
+
+class TestRowKernel:
+    """rowtext.row_texts writes each number as Python's "%.17g" does."""
+
+    def test_random_bit_patterns(self):
+        d = _random_doubles(np.random.default_rng(1201), 3 * 333334)
+        rec = _record(d)
+        assert record_to_csv(rec) == oracle_text(rec, "csv")
+        # The kernel itself, not its fallback, wrote every double it claims.
+        n, e, ok = rowtext._significands(d)
+        a = np.abs(d)
+        want = [format(v, ".16e") for v in a[ok].tolist()]
+        got = [f"{q // 10**16}.{q % 10**16:016d}e{x:+03d}" for q, x in zip(n[ok].tolist(),
+                                                                      e[ok].tolist())]
+        assert got == want
+        in_range = (a >= 1e-6) & (a < 1e17)
+        assert ok.sum() > 400000
+        assert not (ok & ~in_range).any()
+        missed = [v for v in a[in_range & ~ok].tolist() if int(format(v, ".16e")[-3:]) >= -6]
+        assert missed == []
+
+    @pytest.mark.parametrize("v", _EDGES + [-v for v in _EDGES] + [math.nan])
+    def test_edge_values(self, v):
+        rec = _record([v, -v, v])
+        for fmt in ("json", "csv"):
+            assert "".join(cli.record_pieces(rec, fmt)) == oracle_text(rec, fmt)
+
+    def test_edges_taken_by_kernel(self):
+        d = np.array(_EDGES)
+        ok = rowtext._significands(d)[2]
+        want = [(1e-6 <= v < 1e17) and int(format(v, ".16e")[-3:]) >= -6 for v in _EDGES]
+        assert ok.tolist() == want
+
+    def test_no_carry_into_next_decade(self):
+        """The largest double below each power of ten in range stays below
+        it at 17 digits, so _significands may reject N = 10^17 outright."""
+        for k in range(-6, 18):
+            power = Fraction(10) ** k
+            x = float(power)
+            if Fraction(x) >= power:
+                x = float(np.nextafter(x, 0))
+            assert Fraction(format(x, ".17g")) < power
+            assert record_to_csv(_record([x, -x, x])) == oracle_text(_record([x, -x, x]), "csv")
+
+    @given(st.floats(), st.floats(), st.floats(min_value=-1e18, max_value=1e18) | st.floats())
+    @settings(max_examples=300, deadline=None)
+    def test_any_double(self, x, y, v):
+        rec = _record([x, y, v])
+        for fmt in ("json", "csv"):
+            assert "".join(cli.record_pieces(rec, fmt)) == oracle_text(rec, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("kind", ["plane", "line", "fallback", "mixed"])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 2 * 4096 + 3])
+    def test_records_to_file_and_stdout(self, tmp_path, capsys, fmt, kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "fallback":  # every number is outside the kernel's range
+            d = rng.choice([math.inf, -math.nan, 5e-324, 1e-300, 3e17, -1.5e300], 3 * n)
+        elif kind == "mixed":
+            d = _random_doubles(rng, 3 * n)
+        else:
+            d = rng.uniform(-50, 50, 3 * n) * 10.0 ** rng.integers(-7, 3, 3 * n)
+            if kind == "line":
+                d[1::3] = 0.0
+        rec = _record(d)
+        want = oracle_text(rec, fmt)
+        path = tmp_path / "out"
+        cli.write_text(str(path), cli.record_pieces(rec, fmt))
+        assert path.read_bytes() == want.encode()
+        capsys.readouterr()
+        cli.write_text("-", cli.record_pieces(rec, fmt))
+        assert capsys.readouterr().out == (want if fmt == "csv" else want + "\n")
 
 
 @pytest.mark.parametrize("game", GAME_KINDS)

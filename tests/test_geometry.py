@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoshapley.geometry import (
+    DEGENERACY_TOL,
     convex_hull,
     hull_area,
     hull_perimeter,
@@ -48,6 +50,74 @@ class TestConvexHull:
         h2 = convex_hull(pts[rng.permutation(n)])
         assert_close(hull_area(h1), hull_area(h2), rel=1e-12)
         assert_close(hull_perimeter(h1), hull_perimeter(h2), rel=1e-12)
+
+
+def _orientation_fsum(a, b, c):
+    """geometry.orientation as it was, with the determinant from math.fsum."""
+    det = math.fsum([(b[0] - a[0]) * (c[1] - a[1]), -(b[1] - a[1]) * (c[0] - a[0])])
+    mx = max(abs(b[0] - a[0]), abs(c[0] - a[0]))
+    my = max(abs(b[1] - a[1]), abs(c[1] - a[1]))
+    tol = DEGENERACY_TOL * max(1.0, mx * my)
+    return 1 if det > tol else -1 if det < -tol else 0
+
+
+def _hull_fsum(points):
+    """The monotone chain over numpy rows with _orientation_fsum: the
+    reference for convex_hull's vertex lists."""
+    uniq = np.unique(np.asarray(points, dtype=float), axis=0)
+    if uniq.shape[0] == 1:
+        return uniq
+    sp = uniq[np.lexsort((uniq[:, 1], uniq[:, 0]))]
+
+    def half(chain_pts):
+        chain = []
+        for p in chain_pts:
+            while len(chain) >= 2 and _orientation_fsum(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    cycle = half(sp)[:-1] + half(sp[::-1])[:-1]
+    return np.array(cycle if len(cycle) >= 2 else [sp[0], sp[-1]])
+
+
+def _same_hull(points):
+    got, want = convex_hull(points), _hull_fsum(points)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestHullVerticesUnchanged:
+    """convex_hull's subtraction for the determinant gives the vertex lists
+    that the fsum of the same two products gave."""
+
+    def test_criterion_4_input(self):
+        _same_hull(np.random.default_rng(404).uniform(-50.0, 50.0, (300, 2)))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0)],
+            [(0, 0), (0, 0), (0, 0)],
+            [(0, 0), (1, 1)],
+            [(0, 0), (1, 1), (2, 2), (3, 3), (1, 1)],
+            [(0, 0), (1, 0), (2, 0), (1, 1), (1, -1), (1, 0)],
+            [(x, y) for x in range(4) for y in range(4)],
+            [(-0.0, 0.0), (0.0, -0.0), (1, 0), (0, 1), (1, 1)],
+            [(0, 0), (1, 1e-17), (2, 0), (1, 1)],
+            [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3), (0.3, 0.1)],
+            [(1e6, 1e6), (1e6 + 1e-9, 1e6), (1e6, 1e6 + 1e-9), (1e6 + 1e-9, 1e6 + 1e-9)],
+        ],
+        ids=["one", "repeated", "pair", "collinear", "cross", "grid", "signed-zero",
+             "near-collinear", "decimal-collinear", "tiny-square-far-out"],
+    )
+    def test_degenerate_sets(self, points):
+        _same_hull(points)
+
+    def test_random_small_integer_sets(self):
+        rng = np.random.default_rng(1000)
+        for _ in range(1000):
+            n = int(rng.integers(1, 13))
+            _same_hull(rng.integers(-3, 4, (n, 2)).astype(float))
 
 
 class TestHullMeasures:
