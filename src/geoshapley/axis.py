@@ -736,10 +736,12 @@ def shapley_bbox(points, method="fast", direct_series=False):
         for cy, sy in ((ylo, 1.0), (yhi, -1.0)):
             sub = np.column_stack([sx * (x - cx), sy * (y - cy)])
             values += _solve_quadrant_abb(sub, method, direct_series)
-    values -= H * _airport_values(xhi - x)
-    values -= H * _airport_values(x - xlo)
-    values -= W * _airport_values(yhi - y)
-    values -= W * _airport_values(y - ylo)
+    ox = np.argsort(x)
+    oy = np.argsort(y)
+    values -= H * _airport_values(xhi - x, ox[::-1])
+    values -= H * _airport_values(x - xlo, ox)
+    values -= W * _airport_values(yhi - y, oy[::-1])
+    values -= W * _airport_values(y - ylo, oy)
     return ShapleyVector(values, total, "bbox-area")
 
 

@@ -8,6 +8,7 @@ verification run.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
 from .dispatch import ALGORITHM_NAMES, algorithms_for, solver_for
 from .errors import (
     ConsistencyError,
@@ -300,6 +300,8 @@ def cmd_compute(cfg: RunConfig):
 def _reference_algorithm(game, n):
     """oracle-perm up to its guard, then the quadratic or naive engine,
     then oracle-subset up to its guard; None when none applies."""
+    from . import oracle
+
     if n <= oracle.PERMUTATION_LIMIT:
         return "oracle-perm"
     for cand in ("quadratic", "naive"):
@@ -328,6 +330,8 @@ def _verify_solutions(game, pts, ref_name, algos):
     With oracle-perm as the reference, one coalition table serves both
     oracles; each still computes its values from it by its own formula.
     """
+    from . import oracle
+
     if ref_name == "oracle-perm":
         table = oracle.coalition_table(game, pts)
         ref = oracle.shapley_by_permutations(game, pts, table=table).values
@@ -351,6 +355,10 @@ def cmd_verify(args):
             if _reference_algorithm(game, n) is None:
                 print(f"VERIFY FAILED: no reference for {game} at n={n}")
                 return EXIT_INTERNAL
+            # Load every engine before numpy.random and the instances, so
+            # that compiling a module does not add to their memory peak.
+            for algo in algorithms_for(game, n):
+                solver_for(game, algo)
     rng = np.random.default_rng(args.seed)
     failed = []
     lines = []
@@ -534,5 +542,18 @@ def main(argv=None):
         return EXIT_IO
 
 
+def run():
+    """Program entry, for `python -m geoshapley.cli` and the `geoshapley`
+    script: main() after gc.freeze().
+
+    Freezing moves every object alive after the imports out of the
+    collector's reach, so neither the run's collections nor the one at
+    exit walk them.  main() does not freeze, so a caller that runs it in
+    process keeps its collector as it was.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,11 +1,50 @@
-"""Game-to-algorithm registry used by the CLI and the verification harness."""
+"""Game-to-algorithm registry used by the CLI and the verification harness.
+
+The tables name each solver by module and function, and ``solver_for``
+imports only the module that serves the requested pair, so a process that
+solves one game loads no other game's engine.
+"""
 
 from __future__ import annotations
 
-from . import axis, disk, games, hull, oracle
+import importlib
+
+from . import games
 from .errors import DomainError
 
 ALGORITHM_NAMES = ("auto", "fast", "quadratic", "naive", "oracle-perm", "oracle-subset")
+
+# Axis engines that take ``direct_series``.
+_SERIES_GAMES = ("anchored-rects", "bbox-area", "anchored-bbox-area")
+
+# game -> (module, function, keyword arguments after the points).
+_FAST = {
+    "hull-area": ("hull", "shapley_hull_area", {}),
+    "hull-perimeter": ("hull", "shapley_hull_perimeter", {}),
+    "disk-area": ("disk", "shapley_disk", {"measure": "area"}),
+    "disk-perimeter": ("disk", "shapley_disk", {"measure": "perimeter"}),
+    "anchored-rects": ("axis", "shapley_anchored_rects", {}),
+    "bbox-area": ("axis", "shapley_bbox", {}),
+    "anchored-bbox-area": ("axis", "shapley_anchored_bbox", {}),
+    "airport": ("dispatch", "_airport", {}),
+    "interval-length": ("dispatch", "_interval", {}),
+    "area-band": ("games", "shapley_area_band", {}),
+    "bbox-perimeter": ("games", "shapley_bbox_perimeter", {}),
+    "anchored-bbox-perimeter": ("games", "shapley_anchored_bbox_perimeter", {}),
+}
+
+_QUADRATIC = {
+    "anchored-rects": ("axis", "shapley_anchored_rects_quadratic", {}),
+    "bbox-area": ("axis", "shapley_bbox_quadratic", {}),
+    "anchored-bbox-area": ("axis", "shapley_anchored_bbox_quadratic", {}),
+}
+
+_NAIVE = {
+    "hull-area": ("hull", "shapley_hull_area_naive", {}),
+    "hull-perimeter": ("hull", "shapley_hull_perimeter", {"naive": True}),
+    "disk-area": ("disk", "shapley_disk", {"measure": "area", "minus_mode": "direct"}),
+    "disk-perimeter": ("disk", "shapley_disk", {"measure": "perimeter", "minus_mode": "direct"}),
+}
 
 
 def _airport(pts):
@@ -16,33 +55,12 @@ def _interval(pts):
     return games.shapley_interval_length(pts[:, 0])
 
 
-_FAST = {
-    "hull-area": hull.shapley_hull_area,
-    "hull-perimeter": hull.shapley_hull_perimeter,
-    "disk-area": lambda p: disk.shapley_disk(p, "area"),
-    "disk-perimeter": lambda p: disk.shapley_disk(p, "perimeter"),
-    "anchored-rects": axis.shapley_anchored_rects,
-    "bbox-area": axis.shapley_bbox,
-    "anchored-bbox-area": axis.shapley_anchored_bbox,
-    "airport": _airport,
-    "interval-length": _interval,
-    "area-band": games.shapley_area_band,
-    "bbox-perimeter": games.shapley_bbox_perimeter,
-    "anchored-bbox-perimeter": games.shapley_anchored_bbox_perimeter,
-}
-
-_QUADRATIC = {
-    "anchored-rects": axis.shapley_anchored_rects_quadratic,
-    "bbox-area": axis.shapley_bbox_quadratic,
-    "anchored-bbox-area": axis.shapley_anchored_bbox_quadratic,
-}
-
-_NAIVE = {
-    "hull-area": hull.shapley_hull_area_naive,
-    "hull-perimeter": lambda p: hull.shapley_hull_perimeter(p, naive=True),
-    "disk-area": lambda p: disk.shapley_disk(p, "area", minus_mode="direct"),
-    "disk-perimeter": lambda p: disk.shapley_disk(p, "perimeter", minus_mode="direct"),
-}
+def _load(entry, **extra):
+    """The solver an entry names, its module imported on this call."""
+    module, name, kwargs = entry
+    fn = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    kwargs = {**kwargs, **extra}
+    return (lambda p: fn(p, **kwargs)) if kwargs else fn
 
 
 def solver_for(game, algorithm, direct_series=False):
@@ -57,18 +75,19 @@ def solver_for(game, algorithm, direct_series=False):
     if algorithm not in ALGORITHM_NAMES:
         raise DomainError(f"unknown algorithm {algorithm!r}")
     if algorithm in ("auto", "fast"):
-        if direct_series and game in ("anchored-rects", "bbox-area", "anchored-bbox-area"):
-            fn = _FAST[game]
-            return lambda p: fn(p, direct_series=True)
-        return _FAST[game]
+        if direct_series and game in _SERIES_GAMES:
+            return _load(_FAST[game], direct_series=True)
+        return _load(_FAST[game])
     if algorithm == "quadratic":
         if game not in _QUADRATIC:
             raise DomainError(f"no quadratic baseline for game {game!r}")
-        return _QUADRATIC[game]
+        return _load(_QUADRATIC[game])
     if algorithm == "naive":
         if game not in _NAIVE:
             raise DomainError(f"no naive variant for game {game!r}")
-        return _NAIVE[game]
+        return _load(_NAIVE[game])
+    from . import oracle
+
     if algorithm == "oracle-perm":
         return lambda p: oracle.shapley_by_permutations(game, p)
     return lambda p: oracle.shapley_by_subsets(game, p)
@@ -76,13 +95,15 @@ def solver_for(game, algorithm, direct_series=False):
 
 def algorithms_for(game, n):
     """All algorithm names applicable to a game at instance size n."""
+    from .oracle import PERMUTATION_LIMIT, SUBSET_LIMIT
+
     out = ["fast"]
     if game in _QUADRATIC:
         out.append("quadratic")
     if game in _NAIVE:
         out.append("naive")
-    if n <= oracle.PERMUTATION_LIMIT:
+    if n <= PERMUTATION_LIMIT:
         out.append("oracle-perm")
-    if n <= oracle.SUBSET_LIMIT:
+    if n <= SUBSET_LIMIT:
         out.append("oracle-subset")
     return out

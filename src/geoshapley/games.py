@@ -117,11 +117,14 @@ def eval_characteristic(game, q_points, full_points=None):
     )
 
 
-def _airport_values(coords):
-    """Littlechild-Owen recurrence; accepts zeros and ties (gap 0)."""
+def _airport_values(coords, order):
+    """Littlechild-Owen recurrence; accepts zeros and ties (gap 0).
+
+    ``order`` sorts ``coords`` ascending, ties in any order: a tie has gap
+    0, so tied players get equal values whichever comes first.
+    """
     x = np.asarray(coords, dtype=float)
     n = x.size
-    order = np.argsort(x, kind="stable")
     xs = x[order]
     gaps = np.diff(np.concatenate(([0.0], xs)))
     phi_sorted = np.cumsum(gaps / (n - np.arange(n)))
@@ -135,14 +138,16 @@ def _interval_length_values(coords):
 
     Decomposes into two airport games (after translation / reflection)
     plus the constant game v3 = min(P) - max(P), whose Shapley value is
-    v3 / n for everyone.  v3 is the only negative-valued component.
+    v3 / n for everyone.  v3 is the only negative-valued component.  One
+    sort of x serves both: x - alpha rises with x and beta - x falls.
     """
     x = np.asarray(coords, dtype=float)
     n = x.size
     alpha = float(x.min())
     beta = float(x.max())
-    v1 = _airport_values(x - alpha)
-    v2 = _airport_values(beta - x)
+    order = np.argsort(x)
+    v1 = _airport_values(x - alpha, order)
+    v2 = _airport_values(beta - x, order[::-1])
     return v1 + v2 + (alpha - beta) / n
 
 
@@ -155,7 +160,7 @@ def shapley_airport(coords):
         raise DomainError("point coordinates must be finite")
     if np.any(x <= 0.0):
         raise DomainError("airport coordinates must be strictly positive")
-    return ShapleyVector(_airport_values(x), float(x.max()), "airport")
+    return ShapleyVector(_airport_values(x, np.argsort(x)), float(x.max()), "airport")
 
 
 def shapley_interval_length(coords):
@@ -192,14 +197,18 @@ def shapley_bbox_perimeter(points):
 
 def shapley_anchored_bbox_perimeter(points):
     """Perimeter of the origin-anchored bounding box: four airport games
-    on the clamped coordinates max(+-x, 0), max(+-y, 0)."""
+    on the clamped coordinates max(+-x, 0), max(+-y, 0).  One sort per
+    coordinate serves both of its games, read forward for max(x, 0) and
+    backward for max(-x, 0)."""
     pts = geometry.as_points(points)
     x = pts[:, 0]
     y = pts[:, 1]
+    ox = np.argsort(x)
+    oy = np.argsort(y)
     values = 2.0 * (
-        _airport_values(np.maximum(x, 0.0)) + _airport_values(np.maximum(-x, 0.0))
+        _airport_values(np.maximum(x, 0.0), ox) + _airport_values(np.maximum(-x, 0.0), ox[::-1])
     ) + 2.0 * (
-        _airport_values(np.maximum(y, 0.0)) + _airport_values(np.maximum(-y, 0.0))
+        _airport_values(np.maximum(y, 0.0), oy) + _airport_values(np.maximum(-y, 0.0), oy[::-1])
     )
     total = eval_characteristic("anchored-bbox-perimeter", pts)
     return ShapleyVector(values, total, "anchored-bbox-perimeter")

@@ -18,6 +18,7 @@ input.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +81,18 @@ def convex_hull(points):
     """Convex hull vertices in counterclockwise order (monotone chain).
 
     Degenerate inputs: a single point yields that point, two points (or a
-    fully collinear set) yield the segment endpoints.
+    fully collinear set) yield the segment endpoints.  Repeated points
+    count once; of rows equal up to the sign of a zero, the first in input
+    order is kept.
     """
     pts = as_points(points)
-    uniq = np.unique(pts, axis=0)
+    srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    fresh = np.ones(srt.shape[0], dtype=bool)
+    fresh[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    uniq = srt[fresh]  # one row per distinct point, its first in input order
     if uniq.shape[0] == 1:
         return uniq
-    order = np.lexsort((uniq[:, 1], uniq[:, 0]))
-    sp = uniq[order].tolist()  # Python floats: the same doubles, faster scalar arithmetic
+    sp = uniq.tolist()  # Python floats: the same doubles, faster scalar arithmetic
 
     def half(chain_pts):
         chain = []
@@ -177,35 +182,37 @@ def min_enclosing_disk(points):
 
     Randomized incremental construction with a fixed shuffle seed, so the
     result (including the basis) is deterministic.  The basis B satisfies
-    med(B) = med(P) with every basis point on the boundary.
+    med(B) = med(P) with every basis point on the boundary.  The returned
+    disk is recomputed from the basis points in lexicographic (x, y)
+    order, so its bits depend neither on the shuffle nor on the order of
+    the input.
     """
     pts = as_points(points)
     n = pts.shape[0]
     if n == 1:
         return Disk((float(pts[0, 0]), float(pts[0, 1])), 0.0), (0,)
-    order = np.arange(n)
+    order = list(range(n))
     if n > 2:
-        rng = np.random.default_rng(_DISK_SEED)
-        order = rng.permutation(n)
+        random.Random(_DISK_SEED).shuffle(order)
 
     def contains(disk, k):
         return disk is not None and disk.contains(pts[k], tol=1e-12 * max(1.0, disk.radius))
 
     disk = _diametral_disk(pts[order[0]], pts[order[1]])
-    basis = (int(order[0]), int(order[1]))
+    basis = (order[0], order[1])
     for ii in range(2, n):
         i = order[ii]
         if contains(disk, i):
             continue
         # p = pts[i] is on the boundary of med of the prefix.
         disk = _diametral_disk(pts[order[0]], pts[i])
-        basis = (int(order[0]), int(i))
+        basis = (order[0], i)
         for jj in range(1, ii):
             j = order[jj]
             if contains(disk, j):
                 continue
             disk = _diametral_disk(pts[j], pts[i])
-            basis = (int(j), int(i))
+            basis = (j, i)
             for kk in range(jj):
                 k = order[kk]
                 if contains(disk, k):
@@ -213,5 +220,10 @@ def min_enclosing_disk(points):
                 cd = _circumdisk(pts[i], pts[j], pts[k])
                 if cd is not None:
                     disk = cd
-                    basis = (int(k), int(j), int(i))
+                    basis = (k, j, i)
+    support = sorted(pts[list(basis)].tolist())
+    if len(support) == 2:
+        disk = _diametral_disk(*support)
+    else:
+        disk = _circumdisk(*support) or disk
     return disk, tuple(sorted(basis))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geoshapley import axis, games
 from geoshapley.errors import DomainError
 from geoshapley.games import (
     GAME_KINDS,
@@ -160,3 +161,64 @@ class TestPlanarBasicGames:
         ):
             sv = solver(pts)
             assert abs(sv.efficiency_residual) <= 1e-9 * max(1.0, abs(sv.game_total))
+
+
+def _airport_two_sort(coords, order=None):
+    """games._airport_values as it was before the solvers shared one sort
+    per coordinate: its own stable sort on every call, ``order`` unused."""
+    x = np.asarray(coords, dtype=float)
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    phi_sorted = np.cumsum(np.diff(np.concatenate(([0.0], x[order]))) / (n - np.arange(n)))
+    out = np.empty(n)
+    out[order] = phi_sorted
+    return out
+
+
+def _one_d_inputs():
+    """(name, points) with ties, zeros, -0.0, all-equal coordinates, and
+    n = 1, 2 and 2^k +- 1."""
+    rng = np.random.default_rng(2718)
+    cases = [("n1", np.array([[3.5, -2.0]])), ("n2", np.array([[1.0, 2.0], [4.0, -1.0]]))]
+    for n in (3, 5, 7, 9, 15, 17, 31, 33, 255, 257, 4095, 4097):
+        cases.append((f"uniform-{n}", rng.uniform(-50.0, 50.0, (n, 2))))
+        small = rng.integers(-3, 4, (n, 2)).astype(float)  # ties and zeros
+        cases.append((f"ties-{n}", small))
+        signs = np.where(rng.integers(0, 2, (n, 2)) == 1, -1.0, 1.0)
+        cases.append((f"signed-zeros-{n}", small * signs))  # -0.0 where small is 0
+    cases.append(("all-equal", np.full((100, 2), 2.5)))
+    cases.append(("all-zero", np.zeros((64, 2))))
+    cases.append(("all-minus-zero", np.full((64, 2), -0.0)))
+    return cases
+
+
+_ONE_D_SOLVERS = {
+    "airport": lambda p: shapley_airport(np.abs(p[:, 0]) + 1.0),
+    "airport-ties": lambda p: shapley_airport(np.round(np.abs(p[:, 0])) + 1.0),
+    "interval-length": lambda p: shapley_interval_length(p[:, 0]),
+    "area-band": shapley_area_band,
+    "bbox-perimeter": shapley_bbox_perimeter,
+    "anchored-bbox-perimeter": shapley_anchored_bbox_perimeter,
+}
+
+
+class TestOneSortPerCoordinate:
+    """The 1-D solvers sort each coordinate once; their values equal those
+    of the formula that sorted every clamped or reflected copy anew."""
+
+    @pytest.mark.parametrize("solver", list(_ONE_D_SOLVERS))
+    @pytest.mark.parametrize("name,pts", _one_d_inputs(), ids=[c[0] for c in _one_d_inputs()])
+    def test_equal_to_two_sort_formula(self, monkeypatch, solver, name, pts):
+        got = _ONE_D_SOLVERS[solver](pts)
+        monkeypatch.setattr(games, "_airport_values", _airport_two_sort)
+        want = _ONE_D_SOLVERS[solver](pts)
+        assert np.array_equal(got.values, want.values)
+        assert got.game_total == want.game_total
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 255, 257, 4097])
+    def test_bbox_band_terms(self, monkeypatch, n):
+        pts = np.random.default_rng(n).uniform(-50.0, 50.0, (n, 2))
+        got = axis.shapley_bbox(pts)
+        monkeypatch.setattr(axis, "_airport_values", _airport_two_sort)
+        want = axis.shapley_bbox(pts)
+        assert np.array_equal(got.values, want.values)

@@ -120,6 +120,31 @@ class TestHullVerticesUnchanged:
             _same_hull(rng.integers(-3, 4, (n, 2)).astype(float))
 
 
+class TestHullSignedZeroDuplicates:
+    """Rows equal up to the sign of a zero are one point; the hull keeps
+    the first of them in input order."""
+
+    @staticmethod
+    def _signed_small(rng, n):
+        pts = rng.integers(-2, 3, (n, 2)).astype(float)
+        return pts * np.where(rng.integers(0, 2, (n, 2)) == 1, -1.0, 1.0)
+
+    def test_same_row_as_np_unique(self):
+        # np.unique sorts at most 16 rows by insertion, which keeps the
+        # first of equal rows, so its representative is defined there.
+        rng = np.random.default_rng(16)
+        for _ in range(500):
+            _same_hull(self._signed_small(rng, int(rng.integers(1, 17))))
+
+    def test_first_row_in_input_order(self):
+        rng = np.random.default_rng(400)
+        for _ in range(200):
+            pts = self._signed_small(rng, int(rng.integers(17, 400)))
+            for v in convex_hull(pts):
+                first = pts[np.nonzero(np.all(pts == v, axis=1))[0][0]]
+                assert first.tobytes() == v.tobytes()
+
+
 class TestHullMeasures:
     def test_right_triangle(self):
         hull = convex_hull([(0, 0), (1, 0), (0, 1)])
@@ -177,6 +202,20 @@ class TestMinEnclosingDisk:
                 assert np.all(d <= disk.radius * (1 + 1e-9) + 1e-12)
                 for b in basis:
                     assert abs(d[b] - disk.radius) <= 1e-9 * max(1.0, disk.radius)
+
+    def test_permuted_input_same_bits(self):
+        """A permuted input gives the mapped basis and the same centre and
+        radius, bit for bit: the disk is recomputed from its basis points
+        in coordinate order, whatever order the shuffle visited them in."""
+        rng = np.random.default_rng(3000)
+        for _ in range(300):
+            n = int(rng.integers(2, 60))
+            pts = rng.uniform(-50.0, 50.0, (n, 2))
+            perm = rng.permutation(n)
+            disk, basis = min_enclosing_disk(pts)
+            pdisk, pbasis = min_enclosing_disk(pts[perm])
+            assert tuple(sorted(int(perm[k]) for k in pbasis)) == basis
+            assert pdisk.center == disk.center and pdisk.radius == disk.radius
 
     def test_radius_monotone_under_insertion(self, rng):
         pts = random_plane_points(rng, 40)
