@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import re
 import sys
@@ -65,18 +66,47 @@ class ResultRecord:
 # Rows per bulk step of the CSV reader and of both writers.
 _CHUNK = 4096
 
-# The CSV reader splits its text in blocks of about this many characters,
-# the JSON reader its "points" list in pieces of about this many.
+# The input is read in blocks of this many characters, and the JSON reader
+# parses its "points" list in pieces of about this many.
 _TEXT_BLOCK = 1 << 18
 _JSON_PIECE = 1 << 16
 
+# The readers gather parsed values into arrays of at least this many.
+_SLAB = 1 << 17
+
+# A JSON document starts with "{" after blanks.
+_JSON_START = re.compile(r"\s*\{")
 # The text of a JSON document {"points": [...]} before its first element,
 # and from the list's closing "]" on.  Only JSON's own whitespace counts.
 _JSON_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"points"[ \t\n\r]*:[ \t\n\r]*\[[ \t\n\r]*')
 _JSON_TAIL = re.compile(r"\][ \t\n\r]*\}[ \t\n\r]*")
+_JSON_BLANKS = re.compile(r"[ \t\n\r]*")
 # The separator after an [x, y] element, and after a number.
 _NESTED_CUT = re.compile(r"\][ \t\n\r]*,")
 _FLAT_CUT = re.compile(",")
+
+
+class _Gather:
+    """Parsed arrays in input order, each run of them merged into one array
+    once it holds _SLAB values.  An allocator maps an array this large on
+    its own and gives it back to the system when it is freed, whereas a
+    heap of small ones would stay resident after the points are built."""
+
+    def __init__(self):
+        self.merged = []
+        self.run = []
+        self.run_size = 0
+
+    def add(self, part):
+        self.run.append(part)
+        self.run_size += part.size
+        if self.run_size >= _SLAB:
+            self.merged.append(np.concatenate(self.run))
+            self.run = []
+            self.run_size = 0
+
+    def arrays(self):
+        return self.merged + self.run
 
 
 def _fmt(v):
@@ -85,110 +115,200 @@ def _fmt(v):
 
 
 def read_points(path):
+    """The (n, 2) points of a CSV or JSON file, or of stdin for "-".
+
+    The text is read in blocks of _TEXT_BLOCK characters and parsed as it
+    arrives.  Only a JSON document that the piecewise reader cannot take
+    needs the whole text: a file is then read again from the start, and
+    stdin, which cannot be, is kept whole once it is known to be JSON.
+    """
+    if path == "-":
+        return _read_text(_text_blocks(sys.stdin), None)
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r") as fh:
-                text = fh.read()
+        fh = open(path, "r")
     except OSError as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    if re.match(r"\s*\{", text):
-        return _read_json(text)
-    arr, header = _parse_csv(text)
+    with fh:
+        return _read_text(_text_blocks(fh), path)
+
+
+def _text_blocks(fh):
+    """The text of fh in blocks of _TEXT_BLOCK characters, a leading
+    byte-order mark dropped; a failed read or decode is a ParseError."""
+    first = True
+    while True:
+        try:
+            block = fh.read(_TEXT_BLOCK)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read input: {exc}") from exc
+        if not block:
+            return
+        if first and block.startswith("\ufeff"):
+            block = block[1:]
+        first = False
+        yield block
+
+
+def _whole_file(path):
+    with open(path, "r") as fh:
+        return "".join(_text_blocks(fh))
+
+
+def _read_text(blocks, path):
+    """Points from the text blocks of the file at path (None: stdin).
+
+    The format is JSON when the first non-blank character is "{".
+    """
+    blocks = iter(blocks)
+    head = []
+    for block in blocks:
+        head.append(block)
+        if block and not block.isspace():
+            break
+    head = "".join(head)
+    blocks = itertools.chain([head], blocks)
+    if _JSON_START.match(head):
+        if path is None:
+            text = "".join(blocks)
+            return _read_json([text], lambda: text)
+        return _read_json(blocks, lambda: _whole_file(path))
+    rows, header = _parse_csv(blocks)
+    width = rows[0].shape[1]
     if header is not None and "x" in header:
         for name in ("x", "y"):
-            if name in header and header.index(name) >= arr.shape[1]:
+            if name in header and header.index(name) >= width:
                 raise ParseError(
                     f"header names column {name!r} at position {header.index(name) + 1}, "
-                    f"but the rows have {arr.shape[1]} column(s)"
+                    f"but the rows have {width} column(s)"
                 )
-        xi = header.index("x")
-        yi = header.index("y") if "y" in header else None
-        x = arr[:, xi]
-        y = arr[:, yi] if yi is not None else np.zeros(arr.shape[0])
-        return np.column_stack([x, y])
-    if arr.shape[1] == 1:
-        return np.column_stack([arr[:, 0], np.zeros(arr.shape[0])])
-    if arr.shape[1] == 2:
-        return arr
-    raise ParseError("expected 1 or 2 unnamed columns (or a header naming x,y)")
+        return _plane(rows, header.index("x"), header.index("y") if "y" in header else None)
+    if width > 2:
+        raise ParseError("expected 1 or 2 unnamed columns (or a header naming x,y)")
+    return _plane(rows, 0, 1 if width == 2 else None)
 
 
-def _read_json(text):
-    pts = _json_pieces(text)
-    if pts is None:
-        try:
-            pts = np.asarray(json.loads(text)["points"], dtype=float)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad JSON input: {exc}") from exc
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[1] not in (1, 2) or pts.shape[0] == 0:
-        raise ParseError("JSON 'points' must be a nonempty list of [x, y]")
-    if pts.shape[1] == 1:
-        pts = np.column_stack([pts[:, 0], np.zeros(pts.shape[0])])
+def _plane(rows, xi, yi):
+    """One (n, 2) array of columns xi and yi (0 for y when yi is None) of
+    the row blocks `rows`, built in place."""
+    pts = np.empty((sum(len(r) for r in rows), 2))
+    lo = 0
+    for r in rows:
+        hi = lo + len(r)
+        pts[lo:hi, 0] = r[:, xi]
+        pts[lo:hi, 1] = 0.0 if yi is None else r[:, yi]
+        lo = hi
     return pts
 
 
-def _json_pieces(text):
-    """The "points" array of a document whose only key is "points", parsed
-    in pieces of about _JSON_PIECE characters; None when the document has
-    another shape or a piece does not parse to a nonempty array of numbers
-    or of rows of one width, 1 or 2.
+def _read_json(blocks, whole):
+    """Points of a JSON document: piecewise from its text blocks, or, when
+    that path declines, from json.loads of whole()."""
+    rows = _json_pieces(blocks)
+    if rows is None:
+        try:
+            pts = np.asarray(json.loads(whole())["points"], dtype=float)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad JSON input: {exc}") from exc
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, 1)
+        if pts.ndim != 2 or pts.shape[1] not in (1, 2) or pts.shape[0] == 0:
+            raise ParseError("JSON 'points' must be a nonempty list of [x, y]")
+        rows = [pts]
+    return _plane(rows, 0, 1 if rows[0].shape[1] == 2 else None)
+
+
+def _json_pieces(blocks):
+    """The "points" array of a document whose only key is "points", as
+    (k, width) row blocks parsed in pieces of about _JSON_PIECE characters
+    from the text blocks `blocks`; None when the document has another
+    shape or a piece does not parse to a nonempty array of numbers or of
+    rows of one width, 1 or 2.
 
     Each piece ends at a separator between two elements and is parsed as
     a list of its own.  When every piece parses, the pieces' elements are
     exactly the list's elements, so the result is that of the whole text.
+    A separator found in the text read so far is the first one in the
+    whole text, and none follows the list's closing "]", so the pieces do
+    not depend on how the text arrives.  Text before the current piece is
+    dropped as the blocks come in.
     """
+    blocks = iter(blocks)
+    text = ""
+    lo = 0
+
+    def more():
+        nonlocal text, lo
+        block = next(blocks, None)
+        if block is None:
+            return False
+        text = text[lo:] + block
+        lo = 0
+        return True
+
+    # The head is settled once a character other than blanks follows the
+    # first "[" (the head's pattern matches no "[" before its own).
+    while True:
+        b = text.find("[") + 1
+        if (b and _JSON_BLANKS.match(text, b).end() < len(text)) or not more():
+            break
     head = _JSON_HEAD.match(text)
-    end = text.rfind("]")
-    if head is None or end <= head.end() or not _JSON_TAIL.fullmatch(text, end):
+    if head is None or head.end() == len(text):
         return None
     lo = head.end()
     cut = _NESTED_CUT if text[lo] == "[" else _FLAT_CUT
-    parts = []
+    parts = _Gather()
+    shape = None  # of an element
     while True:
-        m = cut.search(text, lo + _JSON_PIECE, end)
-        hi = m.end() - 1 if m else end
+        m = cut.search(text, lo + _JSON_PIECE)
+        while m is None and more():
+            m = cut.search(text, lo + _JSON_PIECE)
+        if m is None:  # the last piece ends at the list's closing "]"
+            hi = text.rfind("]", lo)
+            if hi < 0 or not _JSON_TAIL.fullmatch(text, hi):
+                return None
+        else:
+            hi = m.end() - 1
         try:
             part = np.asarray(json.loads("[" + text[lo:hi] + "]"), dtype=float)
         except (ValueError, TypeError, OverflowError, RecursionError):
             return None
         if part.size == 0 or part.shape[1:] not in ((), (1,), (2,)):
             return None
-        if parts and part.shape[1:] != parts[0].shape[1:]:
+        if shape is not None and part.shape[1:] != shape:
             return None
-        parts.append(part)
+        shape = part.shape[1:]
+        parts.add(part.reshape(len(part), -1))
         if m is None:
-            return np.concatenate(parts)
+            return parts.arrays()
         lo = m.end()
 
 
-def _line_chunks(text):
-    """(number of the first line, lines) for runs of at most _CHUNK lines.
+def _line_chunks(blocks):
+    """(number of the first line, lines) for runs of at most _CHUNK lines
+    of the text whose blocks are `blocks`.
 
-    The text goes through str.splitlines in blocks of about _TEXT_BLOCK
-    characters, each cut just after a "\n".  Such a cut ends a line and
-    never splits a "\r\n", so the blocks' lines are those of the whole text.
+    The text goes through str.splitlines cut just after the last "\n" of
+    each block, the rest carried into the next.  Such a cut ends a line and
+    never splits a "\r\n", so the lines are those of the whole text.
     """
     lineno = 1
-    lo = 0
-    while lo < len(text):
-        cut = text.find("\n", lo + _TEXT_BLOCK)
-        hi = len(text) if cut < 0 else cut + 1
-        lines = text[lo:hi].splitlines()
+    rest = ""
+    for block in itertools.chain(blocks, [None]):
+        if block is None:
+            lines = rest.splitlines()
+        else:
+            text = rest + block
+            cut = text.rfind("\n") + 1
+            rest = text[cut:]
+            lines = text[:cut].splitlines()
         for k in range(0, len(lines), _CHUNK):
             yield lineno + k, lines[k : k + _CHUNK]
         lineno += len(lines)
-        lo = hi
 
 
-def _parse_csv(text):
-    """Data rows of a CSV text as an (n, width) array, and the lower-cased
-    header cells (None without a header).
+def _parse_csv(text_blocks):
+    """Data rows of a CSV text, given as its text blocks, as (k, width) row
+    blocks, and the lower-cased header cells (None without a header).
 
     Blank lines and '#' lines are skipped, empty cells are dropped, and a
     header is the first unparseable line before any data.  Once the row
@@ -196,16 +316,16 @@ def _parse_csv(text):
     commas and every cell parses is converted in one pass; any other chunk
     goes through the line-by-line loop, which reports the line number.
     """
-    blocks = []  # one flat float array per chunk
+    values = _Gather()  # flat float arrays, one per chunk
     header = None
     width = None
     ragged = False
-    for first, chunk in _line_chunks(text):
+    for first, chunk in _line_chunks(text_blocks):
         if width is not None:
             body = [s for s in map(str.strip, chunk) if s and s[0] != "#"]
             if all(s.count(",") == width - 1 for s in body):
                 try:
-                    blocks.append(np.array(list(map(float, ",".join(body).split(",")))))
+                    values.add(np.array(list(map(float, ",".join(body).split(",")))))
                     continue
                 except ValueError:
                     pass
@@ -227,12 +347,12 @@ def _parse_csv(text):
                     width = len(vals)
                 ragged = ragged or len(vals) != width
                 vals_of_chunk.extend(vals)
-        blocks.append(np.array(vals_of_chunk))
+        values.add(np.array(vals_of_chunk))
     if width is None:
         raise ParseError("no data rows in input")
     if ragged:
         raise ParseError("inconsistent number of columns")
-    return np.concatenate(blocks).reshape(-1, width), header
+    return [v.reshape(-1, width) for v in values.arrays()], header
 
 
 def record_pieces(rec: ResultRecord, fmt):

@@ -337,17 +337,56 @@ def _triple_sums(sw, meas_of, n):
     return plus, minus
 
 
+# Basis-by-point entries per block of the direct path.
+_DIRECT_BLOCK = 1 << 16
+
+
 def _shapley_direct(pts, meas_of):
-    """O(n^4) reference: every basis against every point."""
-    phi = np.zeros(pts.shape[0])
-    for basis in enumerate_bases(pts):
-        support = list(basis.support)
-        w = float(meas_of(basis.disk.radius))
-        phi[support] += w * rho_prime_basis(len(support), basis.level)
-        if basis.level < 1:
-            continue
-        center = np.asarray(basis.disk.center)
-        out = np.sum((pts - center) ** 2, axis=1) > basis.disk.radius ** 2
-        out[support] = False  # support sits on the boundary
-        phi[out] -= w * rho_basis(len(support), basis.level)
+    """O(n^4) reference: every basis against every point.
+
+    The bases are those enumerate_bases lists, taken sweep by sweep as
+    arrays: the sweep's pairs, then the acute triples it reports first.
+    Each basis adds w * rho' to its support and -w * rho to every point
+    whose squared distance to the basis's own centre exceeds its squared
+    radius, the support excepted; rho and rho' come from rho_basis and
+    rho_prime_basis.  The sweep's outside masks and sums are not used.
+    """
+    n = pts.shape[0]
+    rho = {b: np.array([rho_basis(b, lv) if lv else 0.0 for lv in range(n)]) for b in (2, 3)}
+    rho_prime = {b: np.array([rho_prime_basis(b, lv) for lv in range(n)]) for b in (2, 3)}
+    phi = np.zeros(n)
+    for sw in _sweeps(pts):
+        i = sw.i
+        k, s = np.nonzero(sw.acute & (sw.order > sw.js[:, None]))
+        j = sw.js[k]
+        seg = pts[j] - pts[i]
+        u = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / np.hypot(seg[:, 0], seg[:, 1])[:, None]
+        bases = (
+            (
+                np.column_stack([np.full(sw.js.size, i), sw.js]),
+                0.5 * (pts[i] + pts[sw.js]),
+                sw.pair_radius,
+                sw.pair_level,
+            ),
+            (
+                np.column_stack([np.full(k.size, i), j, sw.order[k, s]]),
+                0.5 * (pts[i] + pts[j]) + sw.t[k, s][:, None] * u,
+                sw.radius[k, s],
+                sw.level[k, s],
+            ),
+        )
+        for support, center, radius, level in bases:
+            size = support.shape[1]
+            w = meas_of(radius)
+            w_plus = np.repeat(w * rho_prime[size][level], size)
+            phi += np.bincount(support.ravel(), w_plus, minlength=n)
+            w_minus = w * rho[size][level]
+            step = max(1, _DIRECT_BLOCK // n)
+            for lo in range(0, w.size, step):
+                c = center[lo : lo + step]
+                dx = pts[None, :, 0] - c[:, 0, None]
+                dy = pts[None, :, 1] - c[:, 1, None]
+                out = dx * dx + dy * dy > (radius[lo : lo + step] ** 2)[:, None]
+                out[np.arange(c.shape[0])[:, None], support[lo : lo + step]] = False
+                phi -= w_minus[lo : lo + step] @ out
     return phi

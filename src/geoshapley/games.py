@@ -117,38 +117,91 @@ def eval_characteristic(game, q_points, full_points=None):
     )
 
 
-def _airport_values(coords, order):
-    """Littlechild-Owen recurrence; accepts zeros and ties (gap 0).
+# Elements per step of the in-place airport recurrence.
+_GAP_BLOCK = 1 << 14
 
-    ``order`` sorts ``coords`` ascending, ties in any order: a tie has gap
-    0, so tied players get equal values whichever comes first.
+
+def _airport_phi(t):
+    """Overwrite t, coordinates in ascending order, with their airport
+    values in that order: the Littlechild-Owen recurrence
+    phi_k = sum_{j <= k} (t_j - t_{j-1}) / (n - j), with t_{-1} = 0.
+    Zeros and ties (gap 0) are accepted.
+
+    The gaps are formed block by block from the end, each block's left
+    neighbours copied first, so no n-length temporary is needed.
     """
+    n = t.size
+    for lo in range((n - 1) // _GAP_BLOCK * _GAP_BLOCK, -1, -_GAP_BLOCK):
+        hi = min(lo + _GAP_BLOCK, n)
+        prev = np.empty(hi - lo)
+        prev[0] = t[lo - 1] if lo else 0.0
+        prev[1:] = t[lo : hi - 1]
+        block = t[lo:hi]
+        np.subtract(block, prev, out=block)
+        np.divide(block, np.arange(n - lo, n - hi, -1, dtype=float), out=block)
+    np.cumsum(t, out=t)
+
+
+def _airport_values(coords, order):
+    """Airport values of coords, which ``order`` sorts ascending, ties in
+    any order: a tie has gap 0, so tied players get equal values whichever
+    comes first."""
     x = np.asarray(coords, dtype=float)
-    n = x.size
-    xs = x[order]
-    gaps = np.diff(np.concatenate(([0.0], xs)))
-    phi_sorted = np.cumsum(gaps / (n - np.arange(n)))
-    out = np.empty(n)
-    out[order] = phi_sorted
+    phi = np.take(x, order, mode="clip")
+    _airport_phi(phi)
+    out = np.empty(x.size)
+    out[order] = phi
     return out
 
 
-def _interval_length_values(coords):
-    """Shapley values of v(Q) = max(Q) - min(Q) on the line.
+def _opposed_airports(a, b):
+    """Add two airport games whose players come in opposite orders: a and b
+    hold ascending coordinates, b's players in the reverse of a's order.
+    a becomes the sum of the two values per player, in a's order; b is
+    overwritten."""
+    _airport_phi(a)
+    _airport_phi(b)
+    np.add(a, b[::-1], out=a)
+
+
+def _sorted_copy(x, a, b):
+    """Sort x into a and return the order, an argsort of x.
+
+    The sort and the gather read a contiguous copy of x in b, so neither
+    makes a copy of its own.
+    """
+    np.copyto(b, x)
+    order = np.argsort(b)
+    np.take(b, order, out=a, mode="clip")  # "clip": no bounds-check copy
+    return order
+
+
+def _interval_length_sorted(a, b, alpha, beta):
+    """Overwrite a, the coordinates x in ascending order, with the Shapley
+    values of v(Q) = max(Q) - min(Q) in that order; b is scratch, and
+    alpha and beta are min(x) and max(x).
 
     Decomposes into two airport games (after translation / reflection)
     plus the constant game v3 = min(P) - max(P), whose Shapley value is
     v3 / n for everyone.  v3 is the only negative-valued component.  One
     sort of x serves both: x - alpha rises with x and beta - x falls.
     """
+    np.subtract(beta, a[::-1], out=b)
+    np.subtract(a, alpha, out=a)
+    _opposed_airports(a, b)
+    np.add(a, (alpha - beta) / a.size, out=a)
+
+
+def _interval_length_values(coords):
+    """Interval-length values of coords, in two n-length buffers besides
+    the sort."""
     x = np.asarray(coords, dtype=float)
-    n = x.size
-    alpha = float(x.min())
-    beta = float(x.max())
-    order = np.argsort(x)
-    v1 = _airport_values(x - alpha, order)
-    v2 = _airport_values(beta - x, order[::-1])
-    return v1 + v2 + (alpha - beta) / n
+    a = np.empty(x.size)
+    out = np.empty(x.size)
+    order = _sorted_copy(x, a, out)
+    _interval_length_sorted(a, out, float(x.min()), float(x.max()))
+    out[order] = a
+    return out
 
 
 def shapley_airport(coords):
@@ -160,7 +213,12 @@ def shapley_airport(coords):
         raise DomainError("point coordinates must be finite")
     if np.any(x <= 0.0):
         raise DomainError("airport coordinates must be strictly positive")
-    return ShapleyVector(_airport_values(x, np.argsort(x)), float(x.max()), "airport")
+    phi = np.empty(x.size)
+    out = np.empty(x.size)
+    order = _sorted_copy(x, phi, out)
+    _airport_phi(phi)
+    out[order] = phi
+    return ShapleyVector(out, float(x.max()), "airport")
 
 
 def shapley_interval_length(coords):
@@ -180,17 +238,27 @@ def shapley_area_band(points):
     (constant) y extent of the full point set."""
     pts = geometry.as_points(points)
     height = float(pts[:, 1].max() - pts[:, 1].min())
-    values = height * _interval_length_values(pts[:, 0])
+    values = _interval_length_values(pts[:, 0])
+    np.multiply(height, values, out=values)
     total = height * float(pts[:, 0].max() - pts[:, 0].min())
     return ShapleyVector(values, total, "area-band")
 
 
 def shapley_bbox_perimeter(points):
-    """Perimeter of the bounding box: two interval-length games."""
+    """Perimeter of the bounding box: two interval-length games, each
+    solved in the order of its own coordinate, in three n-length buffers
+    besides the sort."""
     pts = geometry.as_points(points)
-    values = 2.0 * _interval_length_values(pts[:, 0]) + 2.0 * _interval_length_values(
-        pts[:, 1]
-    )
+    values = np.empty(pts.shape[0])
+    a, b = np.empty((2, pts.shape[0]))
+    for k, out in ((0, values), (1, b)):
+        x = pts[:, k]
+        order = _sorted_copy(x, a, b)
+        _interval_length_sorted(a, b, float(x.min()), float(x.max()))
+        np.multiply(2.0, a, out=a)
+        out[order] = a
+        del order  # the next sort may reuse its memory
+    np.add(values, b, out=values)
     total = eval_characteristic("bbox-perimeter", pts)
     return ShapleyVector(values, total, "bbox-perimeter")
 
@@ -199,16 +267,19 @@ def shapley_anchored_bbox_perimeter(points):
     """Perimeter of the origin-anchored bounding box: four airport games
     on the clamped coordinates max(+-x, 0), max(+-y, 0).  One sort per
     coordinate serves both of its games, read forward for max(x, 0) and
-    backward for max(-x, 0)."""
+    backward for max(-x, 0); three n-length buffers besides the sort."""
     pts = geometry.as_points(points)
-    x = pts[:, 0]
-    y = pts[:, 1]
-    ox = np.argsort(x)
-    oy = np.argsort(y)
-    values = 2.0 * (
-        _airport_values(np.maximum(x, 0.0), ox) + _airport_values(np.maximum(-x, 0.0), ox[::-1])
-    ) + 2.0 * (
-        _airport_values(np.maximum(y, 0.0), oy) + _airport_values(np.maximum(-y, 0.0), oy[::-1])
-    )
+    values = np.empty(pts.shape[0])
+    a, b = np.empty((2, pts.shape[0]))
+    for k, out in ((0, values), (1, b)):
+        order = _sorted_copy(pts[:, k], a, b)
+        np.negative(a[::-1], out=b)
+        np.maximum(b, 0.0, out=b)
+        np.maximum(a, 0.0, out=a)
+        _opposed_airports(a, b)
+        np.multiply(2.0, a, out=a)
+        out[order] = a
+        del order  # the next sort may reuse its memory
+    np.add(values, b, out=values)
     total = eval_characteristic("anchored-bbox-perimeter", pts)
     return ShapleyVector(values, total, "anchored-bbox-perimeter")

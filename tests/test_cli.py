@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -428,26 +430,30 @@ def _outcome(read):
     ]
 
 
-def _json_streamed_and_whole(monkeypatch, text, piece):
-    """The JSON reader's outcome in pieces of `piece` characters, and with
-    the piecewise path switched off."""
+def _blocks_of(text, size):
+    """text in blocks of `size` characters, as the reader takes it in."""
+    return [text[k : k + size] for k in range(0, len(text), size)]
+
+
+def _json_streamed_and_whole(monkeypatch, text, piece, block=None):
+    """The JSON reader's outcome in pieces of `piece` characters, from text
+    blocks of `block` characters (one block when None), and with the
+    piecewise path switched off."""
+    blocks = [text] if block is None else _blocks_of(text, block)
     with monkeypatch.context() as m:
         m.setattr(cli, "_JSON_PIECE", piece)
-        streamed = _outcome(lambda: cli._read_json(text))
-        taken = cli._json_pieces(text) is not None
-        m.setattr(cli, "_json_pieces", lambda text: None)
-        whole = _outcome(lambda: cli._read_json(text))
+        streamed = _outcome(lambda: cli._read_json(blocks, lambda: text))
+        taken = cli._json_pieces(blocks) is not None
+        m.setattr(cli, "_json_pieces", lambda blocks: None)
+        whole = _outcome(lambda: cli._read_json(blocks, lambda: text))
     return streamed, whole, taken
 
 
-def _csv_streamed_and_whole(monkeypatch, text, block):
-    """The CSV reader's outcome in blocks of `block` characters, and with
-    the whole text in one block (one str.splitlines over all of it)."""
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_TEXT_BLOCK", block)
-        streamed = _outcome(lambda: cli._parse_csv(text))
-        m.setattr(cli, "_TEXT_BLOCK", len(text) + 1)
-        whole = _outcome(lambda: cli._parse_csv(text))
+def _csv_streamed_and_whole(text, block):
+    """The reader's outcome on a CSV text in blocks of `block` characters,
+    and on the whole text in one block (one str.splitlines over all of it)."""
+    streamed = _outcome(lambda: cli._read_text(_blocks_of(text, block), None))
+    whole = _outcome(lambda: cli._read_text([text], None))
     return streamed, whole
 
 
@@ -470,11 +476,26 @@ JSON_FALLBACK = [
     ("empty-list", '{"points": []}'),
     ("ragged-element", '{"points": [[1, 2], [3, 4], [5], [6, 7]]}'),
     ("flat-then-row", '{"points": [1, 2, [3, 4]]}'),
+    ("flat-then-one-wide-row", '{"points": [1, 2, [3], 4]}'),
     ("empty-rows", '{"points": [[], []]}'),
     ("three-columns", '{"points": [[1, 2, 3], [4, 5, 6]]}'),
     ("trailing-comma", '{"points": [[1, 2], [3, 4],]}'),
     ("object-element", '{"points": [[1, 2], {"x": 3}]}'),
     ("non-json-space", '{"points":\x0c[[1, 2], [3, 4]]}'),
+]
+
+
+# CSV texts with line ends of every kind, blank and comment lines, a
+# header, a repeated header, ragged rows and a bad line.
+CSV_BLOCK_TEXTS = [
+    "1,2\r\n3,4\r\n5,6\n7,8\r\n",
+    "1,2\x0c3,4\n5,6\u20287,8\n9,10\x0c",
+    "1,\x0c2\n3,4\n",
+    "x,y\n1,2\n\n# c\n3,4\n5,6\n",
+    "x,y\n1,2\n3,4\nx,y\n5,6\n",
+    "# c\n\n1,2\r\n3\r\n4,5\n",
+    "1,2\r\n3,4\r\nfoo\r\n5,6\r\n",
+    "\r\n\r\n\n\n1,2",
 ]
 
 
@@ -514,37 +535,136 @@ class TestStreamedReaders:
         assert taken and streamed == whole
         assert streamed[0][1] == (k + 1 + extra, 2)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "1,2\r\n3,4\r\n5,6\n7,8\r\n",
-            "1,2\x0c3,4\n5,6\u20287,8\n9,10\x0c",
-            "1,\x0c2\n3,4\n",
-            "x,y\n1,2\n\n# c\n3,4\n5,6\n",
-            "x,y\n1,2\n3,4\nx,y\n5,6\n",
-            "# c\n\n1,2\r\n3\r\n4,5\n",
-            "1,2\r\n3,4\r\nfoo\r\n5,6\r\n",
-            "\r\n\r\n\n\n1,2",
-        ],
-    )
-    def test_csv_blocks(self, monkeypatch, text):
+    @pytest.mark.parametrize("text", CSV_BLOCK_TEXTS)
+    def test_csv_blocks(self, text):
         for block in range(1, len(text) + 1):
-            streamed, whole = _csv_streamed_and_whole(monkeypatch, text, block)
+            streamed, whole = _csv_streamed_and_whole(text, block)
             assert streamed == whole, block
 
     @pytest.mark.parametrize("bad", [True, False])
-    def test_csv_line_numbers_across_blocks(self, monkeypatch, bad):
+    def test_csv_line_numbers_across_blocks(self, bad):
         """CRLF rows past the first block, and a bad line 300000."""
         rows = _numbered_rows(299999)
         text = "\n".join(rows[:100000]) + "\n" + "\r\n".join(rows[100000:]) + "\r\n"
         text += "a,b\n1,2\n" if bad else "299999,599998.5\n"
         assert len(text) > 10 * cli._TEXT_BLOCK
-        streamed, whole = _csv_streamed_and_whole(monkeypatch, text, cli._TEXT_BLOCK)
+        streamed, whole = _csv_streamed_and_whole(text, cli._TEXT_BLOCK)
         assert streamed == whole
         if bad:
             assert streamed == "line 300000: cannot parse 'a,b'"
         else:
-            assert np.array_equal(cli._parse_csv(text)[0], _numbered_points(300000))
+            assert np.array_equal(cli._read_text([text], None), _numbered_points(300000))
+
+
+def _stdin_of(data):
+    """A stdin holding the bytes `data`: UTF-8, strict, and split at "\n"
+    only, as Python's stdin is on POSIX, so a "\r\n" reaches the reader
+    whole or cut between two blocks."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+
+
+def _read_sources(monkeypatch, tmp_path, text, block):
+    """read_points' outcome on `text` from a file and from stdin, read in
+    blocks of `block` characters."""
+    path = tmp_path / "in.txt"
+    path.write_bytes(text.encode())
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_TEXT_BLOCK", block)
+        from_file = _outcome(lambda: read_points(str(path)))
+        m.setattr(sys, "stdin", _stdin_of(text.encode()))
+        from_stdin = _outcome(lambda: read_points("-"))
+    return from_file, from_stdin
+
+
+def _block_sizes(text):
+    """Every block size for a short text; for a long one, sizes that cut
+    it in many, several and two blocks, and one block."""
+    if len(text) <= 200:
+        return range(1, len(text) + 1)
+    return (7, 4096, len(text) // 3, len(text) - 1, len(text))
+
+
+def _check_expected(outcome, expected):
+    if isinstance(expected, str):
+        assert isinstance(outcome, str) and re.fullmatch(expected, outcome, re.DOTALL), outcome
+    else:
+        want = np.asarray(expected, dtype=float)
+        assert outcome == [(want.dtype.str, want.shape, want.tobytes())]
+
+
+class TestBlockReader:
+    """read_points on a file and on stdin gives, at every block size, the
+    array bits or ParseError text of the whole text."""
+
+    @pytest.mark.parametrize(
+        "text, expected", [c[1:] for c in READER_CASES], ids=[c[0] for c in READER_CASES]
+    )
+    def test_reader_cases(self, monkeypatch, tmp_path, text, expected):
+        for block in _block_sizes(text):
+            for outcome in _read_sources(monkeypatch, tmp_path, text, block):
+                _check_expected(outcome, expected)
+
+    @pytest.mark.parametrize(
+        "text, streamed",
+        [(c[1], True) for c in JSON_STREAMED] + [(c[1], False) for c in JSON_FALLBACK],
+        ids=[c[0] for c in JSON_STREAMED + JSON_FALLBACK],
+    )
+    def test_json(self, monkeypatch, tmp_path, text, streamed):
+        whole = _json_streamed_and_whole(monkeypatch, text, cli._JSON_PIECE)[1]
+        for block in range(1, len(text) + 1):
+            for piece in (1, cli._JSON_PIECE):
+                got = _json_streamed_and_whole(monkeypatch, text, piece, block)
+                assert got == (whole, whole, streamed), (block, piece)
+                monkeypatch.setattr(cli, "_JSON_PIECE", piece)
+                assert _read_sources(monkeypatch, tmp_path, text, block) == (whole, whole), (
+                    block,
+                    piece,
+                )
+
+    @pytest.mark.parametrize("text", CSV_BLOCK_TEXTS)
+    def test_csv(self, monkeypatch, tmp_path, text):
+        whole = _csv_streamed_and_whole(text, len(text))[1]
+        for block in range(1, len(text) + 1):
+            assert _read_sources(monkeypatch, tmp_path, text, block) == (whole, whole), block
+
+    @pytest.mark.parametrize(
+        "text, block, expected",
+        [
+            # stdin's blocks "x,y\r", "\n1,2", "\r\n3,", "4\r\n": a "\r\n" cut twice.
+            ("x,y\r\n1,2\r\n3,4\r\n", 4, [[1, 2], [3, 4]]),
+            ("\ufeffy,x\n1,5\n", 1, [[5, 1]]),  # the first block is the mark alone
+            ("\ufeff" + " \n\t\r" * 100 + '{"points": [[1, 2], [3, 4]]}', 64, [[1, 2], [3, 4]]),
+            (" \n" * 200 + '{"meta": 1, "points": [[1, 2]]}', 16, [[1, 2]]),
+            ("\n" * 300 + "1,2\nfoo\n", 64, _error("line 302: cannot parse 'foo'")),
+            ("\n" * 300 + "\r\n" + "y,x\n1,2\n", 50, [[2, 1]]),
+        ],
+        ids=["crlf-cut", "bom-alone", "blanks-then-json", "blanks-then-fallback",
+             "blanks-then-csv", "blanks-then-header"],
+    )
+    def test_block_edges(self, monkeypatch, tmp_path, text, block, expected):
+        assert len(text) > block
+        for outcome in _read_sources(monkeypatch, tmp_path, text, block):
+            _check_expected(outcome, expected)
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("rows", [0, 40000], ids=["first-block", "past-first-block"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_undecodable_input_exit_1(self, monkeypatch, tmp_path, capsys, source, rows, fmt):
+        good = _numbered_rows(rows)
+        if fmt == "csv":
+            data = ("x,y\n" + "".join(r + "\n" for r in good)).encode() + b"3,\xff4\n"
+        else:
+            data = ('{"points": [' + "".join("[%s], " % r for r in good)).encode() + b"[3, \xff4]]}"
+        assert (len(data) > 2 * cli._TEXT_BLOCK) == (rows > 0)
+        path = tmp_path / ("in." + fmt)
+        path.write_bytes(data)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", _stdin_of(data))
+            path = "-"
+        code, out, err = run(capsys, "compute", "--game", "bbox-perimeter", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error (I/O): cannot read input: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
 
 
 def record_to_json(rec):
@@ -777,7 +897,8 @@ def test_non_finite_coordinates_exit_2(tmp_path, capsys, game, text):
 # `verify --games all --nmin 3 --nmax 6 --instances 2 --seed 7`.  The box
 # and line lines are those of the per-subset coalition table, which the
 # batched table matches bit for bit.  The hull, disk and anchored-rects lines
-# are those of the batched table, whose sums run in another order.
+# are those of the batched table, whose sums run in another order.  The disk
+# naive lines are those of the direct path summed per block of bases.
 _GOLDEN_VERIFY = """\
 hull-area fast max_discrepancy=1.598e-15 PASS
 hull-area naive max_discrepancy=1.598e-15 PASS
@@ -786,10 +907,10 @@ hull-perimeter fast max_discrepancy=1.703e-15 PASS
 hull-perimeter naive max_discrepancy=2.012e-15 PASS
 hull-perimeter oracle-subset max_discrepancy=1.858e-15 PASS
 disk-area fast max_discrepancy=1.290e-15 PASS
-disk-area naive max_discrepancy=1.477e-15 PASS
+disk-area naive max_discrepancy=1.344e-15 PASS
 disk-area oracle-subset max_discrepancy=1.286e-15 PASS
 disk-perimeter fast max_discrepancy=1.660e-15 PASS
-disk-perimeter naive max_discrepancy=2.102e-15 PASS
+disk-perimeter naive max_discrepancy=1.952e-15 PASS
 disk-perimeter oracle-subset max_discrepancy=1.291e-15 PASS
 anchored-rects fast max_discrepancy=5.288e-15 PASS
 anchored-rects oracle-subset max_discrepancy=2.875e-15 PASS
@@ -1084,3 +1205,98 @@ class TestPeakMemory:
         assert code == 0
         bound = src.stat().st_size + 64 * n
         assert peak < bound, (peak, bound)
+
+
+def _one_d_input(path, game, fmt, n):
+    """A seeded n-point input for a 1-D game: one column for airport and
+    interval-length, two for the others."""
+    rng = np.random.default_rng(n)
+    one = game in ("airport", "interval-length")
+    pts = rng.uniform(0.5, 100, n) if one else rng.uniform(-50, 50, (n, 2))
+    if fmt == "json":
+        path.write_text(json.dumps({"points": pts.tolist()}))
+    elif one:
+        path.write_text("".join("%r\n" % v for v in pts.tolist()))
+    else:
+        path.write_text("".join("%r,%r\n" % (x, y) for x, y in pts.tolist()))
+
+
+def _compute_argv(tmp_path, game, in_fmt, n):
+    src = tmp_path / ("in%d.%s" % (n, in_fmt))
+    _one_d_input(src, game, in_fmt, n)
+    out_fmt = "csv" if in_fmt == "json" else "json"
+    return ["compute", "--game", game, "--input", str(src), "--output",
+            str(tmp_path / ("out." + out_fmt)), "--format", out_fmt]
+
+
+# The package's root, for a fresh interpreter's PYTHONPATH.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+# Runs its arguments as a child and prints the child's ru_maxrss.  The
+# launcher is small, so the pages a child shares with it before exec are
+# few, and the pytest process's are none.
+_LAUNCHER = (
+    "import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
+class TestBoundedMemory:
+    """A 1-D compute job holds its points, its values and a few n-length
+    buffers from reading the input to writing the output, but not its input
+    text.  Each bound is a figure per point over the same job on 4096
+    points, which carries the fixed costs: the read block, the write chunk
+    and, in a fresh process, the interpreter and NumPy."""
+
+    @staticmethod
+    def traced_peak(argv):
+        main(argv)  # load the engine and warm the caches first
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    @pytest.mark.parametrize(
+        "game, in_fmt, per_point",
+        [
+            ("interval-length", "csv", 36),
+            ("area-band", "csv", 36),
+            ("anchored-bbox-perimeter", "csv", 36),
+            ("airport", "json", 36),
+            ("bbox-perimeter", "json", 36),
+        ],
+    )
+    def test_traced_peak_per_point(self, tmp_path, game, in_fmt, per_point):
+        n = 1 << 17
+        fixed = self.traced_peak(_compute_argv(tmp_path, game, in_fmt, 4096))
+        peak = self.traced_peak(_compute_argv(tmp_path, game, in_fmt, n))
+        assert (peak - fixed) / (n - 4096) < per_point, (peak, fixed)
+
+    @staticmethod
+    def fresh_max_rss(argv):
+        """ru_maxrss in bytes of `python -m geoshapley.cli` run on argv."""
+        path = [_PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "geoshapley.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout.split()[-1]) * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, as Linux gives it")
+    @pytest.mark.parametrize(
+        "game, in_fmt, per_point",
+        [("airport", "csv", 45), ("anchored-bbox-perimeter", "csv", 60), ("bbox-perimeter", "json", 49)],
+    )
+    def test_fresh_process_peak_per_point(self, tmp_path, game, in_fmt, per_point):
+        """Covers what tracemalloc does not see: whether the pages that
+        reading freed serve the solve, or the solve takes fresh ones."""
+        n = 1 << 18
+        fixed = self.fresh_max_rss(_compute_argv(tmp_path, game, in_fmt, 4096))
+        peak = self.fresh_max_rss(_compute_argv(tmp_path, game, in_fmt, n))
+        assert (peak - fixed) / (n - 4096) < per_point, (peak, fixed)

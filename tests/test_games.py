@@ -175,6 +175,54 @@ def _airport_two_sort(coords, order=None):
     return out
 
 
+def _airport_one_sort(coords, order):
+    """games._airport_values as it was before the 1-D solvers ran in reused
+    buffers: a fresh array for every step."""
+    x = np.asarray(coords, dtype=float)
+    n = x.size
+    xs = x[order]
+    gaps = np.diff(np.concatenate(([0.0], xs)))
+    phi_sorted = np.cumsum(gaps / (n - np.arange(n)))
+    out = np.empty(n)
+    out[order] = phi_sorted
+    return out
+
+
+def _reference_values(solver, pts, airport):
+    """The values of a _ONE_D_SOLVERS entry by the formulas the 1-D solvers
+    had before they ran in reused buffers, on ``airport(coords, order)``."""
+
+    def interval(coords):
+        x = np.asarray(coords, dtype=float).reshape(-1)
+        n = x.size
+        alpha = float(x.min())
+        beta = float(x.max())
+        order = np.argsort(x)
+        v1 = airport(x - alpha, order)
+        v2 = airport(beta - x, order[::-1])
+        return v1 + v2 + (alpha - beta) / n
+
+    def clamped(x):
+        o = np.argsort(x)
+        return airport(np.maximum(x, 0.0), o) + airport(np.maximum(-x, 0.0), o[::-1])
+
+    x, y = pts[:, 0], pts[:, 1]
+    if solver.startswith("airport"):
+        a = (np.round(np.abs(x)) if solver == "airport-ties" else np.abs(x)) + 1.0
+        return airport(a, np.argsort(a))
+    if solver == "interval-length":
+        return interval(x)
+    if solver == "area-band":
+        return float(y.max() - y.min()) * interval(x)
+    if solver == "bbox-perimeter":
+        return 2.0 * interval(x) + 2.0 * interval(y)
+    return 2.0 * clamped(x) + 2.0 * clamped(y)
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _one_d_inputs():
     """(name, points) with ties, zeros, -0.0, all-equal coordinates, and
     n = 1, 2 and 2^k +- 1."""
@@ -208,12 +256,9 @@ class TestOneSortPerCoordinate:
 
     @pytest.mark.parametrize("solver", list(_ONE_D_SOLVERS))
     @pytest.mark.parametrize("name,pts", _one_d_inputs(), ids=[c[0] for c in _one_d_inputs()])
-    def test_equal_to_two_sort_formula(self, monkeypatch, solver, name, pts):
+    def test_equal_to_two_sort_formula(self, solver, name, pts):
         got = _ONE_D_SOLVERS[solver](pts)
-        monkeypatch.setattr(games, "_airport_values", _airport_two_sort)
-        want = _ONE_D_SOLVERS[solver](pts)
-        assert np.array_equal(got.values, want.values)
-        assert got.game_total == want.game_total
+        assert np.array_equal(got.values, _reference_values(solver, pts, _airport_two_sort))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 255, 257, 4097])
     def test_bbox_band_terms(self, monkeypatch, n):
@@ -222,3 +267,32 @@ class TestOneSortPerCoordinate:
         monkeypatch.setattr(axis, "_airport_values", _airport_two_sort)
         want = axis.shapley_bbox(pts)
         assert np.array_equal(got.values, want.values)
+
+
+def _buffer_inputs():
+    """_one_d_inputs, and sets whose size crosses the blocks of the
+    in-place airport recurrence."""
+    rng = np.random.default_rng(1414)
+    cases = _one_d_inputs()
+    for n in (games._GAP_BLOCK - 1, games._GAP_BLOCK, games._GAP_BLOCK + 1, 2 * games._GAP_BLOCK + 1):
+        cases.append((f"uniform-{n}", rng.uniform(-50.0, 50.0, (n, 2))))
+        cases.append((f"ties-{n}", rng.integers(-3, 4, (n, 2)) * np.where(rng.integers(0, 2, (n, 2)), -1.0, 1.0)))
+    return cases
+
+
+class TestReusedBuffers:
+    """The 1-D solvers run in a few reused buffers; their values keep the
+    bits of the formulas that made a fresh array for every step."""
+
+    @pytest.mark.parametrize("solver", list(_ONE_D_SOLVERS))
+    @pytest.mark.parametrize("name,pts", _buffer_inputs(), ids=[c[0] for c in _buffer_inputs()])
+    def test_bit_identical(self, solver, name, pts):
+        got = _ONE_D_SOLVERS[solver](pts).values
+        assert _same_bits(got, _reference_values(solver, pts, _airport_one_sort))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 255, 257, 4097, games._GAP_BLOCK + 1])
+    def test_bbox_band_terms(self, monkeypatch, n):
+        pts = np.random.default_rng(n).uniform(-50.0, 50.0, (n, 2))
+        got = axis.shapley_bbox(pts).values
+        monkeypatch.setattr(axis, "_airport_values", _airport_one_sort)
+        assert _same_bits(got, axis.shapley_bbox(pts).values)
