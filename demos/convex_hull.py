@@ -2,7 +2,7 @@
 
 The engine conditions on the hull edge cut off by a newly inserted point:
 for each directed pair (q, q'), level(q, q') counts the points left of
-the line, and a closed-form permutation probability rho(level) weights
+the line, and a closed-form permutation probability rho(2, level) weights
 the triangle each point p would add.  One angular sweep per point yields
 all levels and all weighted sums.
 """
@@ -11,12 +11,12 @@ import numpy as np
 
 from geoshapley import (
     all_pair_levels,
-    rho,
     shapley_by_permutations,
     shapley_hull_area,
     shapley_hull_area_naive,
     shapley_hull_perimeter,
 )
+from geoshapley.games import rho
 
 rng = np.random.default_rng(42)
 
@@ -24,8 +24,9 @@ rng = np.random.default_rng(42)
 # two points on its left.
 quad = np.array([(0.0, 0.0), (2.0, 0.2), (2.2, 2.0), (0.1, 1.8)])
 levels = all_pair_levels(quad)
-print("levels of ccw hull edges:", [levels[i, (i + 1) % 4] for i in range(4)])
-print("rho at those levels:", rho(2))
+edge_levels = [int(levels[i, (i + 1) % 4]) for i in range(4)]
+print("levels of ccw hull edges:", edge_levels)
+print("rho at those levels:", rho(2, edge_levels))
 
 # Small instance: the fast engine, the per-point naive variant, and the
 # factorial oracle all coincide.

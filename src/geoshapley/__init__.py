@@ -16,12 +16,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "algebra": (
-        "RationalStepSeries",
-        "convolve",
-        "direct_rational_eval",
-        "multipoint_rational_eval",
-    ),
+    "algebra": ("convolve",),
     "axis": (
         "GridArrangement",
         "shapley_anchored_bbox",
@@ -59,19 +54,11 @@ _EXPORTS = {
     ),
     "hull": (
         "all_pair_levels",
-        "rho",
-        "rho_prime",
         "shapley_hull_area",
         "shapley_hull_area_naive",
         "shapley_hull_perimeter",
     ),
     "oracle": ("coalition_table", "shapley_by_permutations", "shapley_by_subsets"),
-    "permcount": (
-        "TripleCounts",
-        "prob_first_of_A_before_B_or_C",
-        "prob_first_of_B_before_A_after_some_C",
-        "prob_sandwich",
-    ),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

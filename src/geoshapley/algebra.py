@@ -1,13 +1,12 @@
-"""FFT convolution and multipoint evaluation of rational step series.
+"""FFT convolution.
 
-The series R(x) = sum_t b_t / (delta + t + x) appears in every empty-block
-computation: evaluating it at a run of consecutive integers reduces to a
-single convolution with the reciprocal sequence 1/(delta + ell + m - i).
+The axis engines read every rational step series
+R(x) = sum_t b_t / (delta + t + x) at a run of consecutive integers as one
+convolution with the reciprocal sequence 1/(delta + ell + m - i); see
+axis._batched_consecutive_eval.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,49 +37,3 @@ def convolve(a, b, size=None):
     fa = np.fft.rfft(a, size)
     fb = np.fft.rfft(b, size)
     return np.fft.irfft(fa * fb, size)[:out_len]
-
-
-@dataclass(frozen=True)
-class RationalStepSeries:
-    """R(x) = sum_{t=0}^{n} b[t] / (delta + t + x)."""
-
-    b: np.ndarray
-    delta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if self.b.ndim != 1 or self.b.size == 0:
-            raise DomainError("coefficient vector must be a nonempty 1-D array")
-
-
-def multipoint_rational_eval(series: RationalStepSeries, ell: int, m: int):
-    """Evaluate R at the consecutive integers ell, ell+1, ..., ell+m.
-
-    Requires ell > -delta so every denominator delta + t + x stays positive.
-    Runs in O((n + m) log (n + m)) via one convolution.
-    """
-    if m < 0:
-        raise DomainError("m must be nonnegative")
-    delta = series.delta
-    if not ell + delta > 0:
-        raise DomainError(
-            f"need ell > -delta (ell={ell}, delta={delta}); zero or negative "
-            "denominators would occur"
-        )
-    n = series.b.size - 1
-    # Reciprocals 1/(delta + ell + m + n - k) cover every denominator
-    # delta + t + x with t in [0, n], x in [ell, ell + m].
-    a = 1.0 / (delta + ell + m + n - np.arange(m + n + 1))
-    c = convolve(a, series.b)
-    # R(ell + j) = c_{m + n - j}
-    return c[n : m + n + 1][::-1].copy()
-
-
-def direct_rational_eval(series: RationalStepSeries, points):
-    """Evaluate R at arbitrary integer points by direct summation."""
-    pts = np.asarray(points, dtype=float)
-    t = np.arange(series.b.size)
-    denom = series.delta + t[None, :] + pts[..., None]
-    if np.any(denom == 0.0):
-        raise DomainError("zero denominator at an evaluation point")
-    return (series.b[None, :] / denom).sum(axis=-1)

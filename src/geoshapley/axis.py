@@ -29,7 +29,6 @@ import math
 import numpy as np
 
 from . import geometry
-from .algebra import RationalStepSeries, direct_rational_eval
 from .errors import (
     AxisDegeneracyError,
     ConsistencyError,
@@ -101,7 +100,7 @@ def _ar_increasing(grid):
     return out
 
 
-def _ar_decreasing(grid, direct=False):
+def _ar_decreasing(grid):
     """Dyadic divide and conquer for a decreasing chain: ne(c_{i,j}) is the
     closed form n + 2 - i - j, and the blocks hugging the anti-diagonal are
     empty by construction.
@@ -141,7 +140,6 @@ def _ar_decreasing(grid, direct=False):
             n_t,
             np.concatenate([np.full(K, half), n + 2 - lo - half - rj0]),
             np.concatenate([np.full(K, 1 - half), rj0 - rj1]),
-            direct,
         )
         p = np.arange(half)
         cols = lo[:, None] + 1 + p
@@ -171,7 +169,7 @@ def _ragged(lengths):
     return seg, np.arange(seg.size) - starts[seg]
 
 
-def _batched_consecutive_eval(task, offset, weight, n_t, l0, dmin, direct=False):
+def _batched_consecutive_eval(task, offset, weight, n_t, l0, dmin):
     """Evaluate every grouped series R_t(x) = sum_g G_t[g] / (l0[t] + g + x)
     at the consecutive integers dmin[t] .. 0.
 
@@ -189,15 +187,6 @@ def _batched_consecutive_eval(task, offset, weight, n_t, l0, dmin, direct=False)
     mn = n_t - dmin
     if np.any(l0 + dmin < 1):
         raise DomainError("slab series would hit a nonpositive denominator")
-    if direct:
-        slot = np.cumsum(mn + 1) - (mn + 1)
-        g = np.bincount(slot[task] + offset, weights=weight, minlength=int(np.sum(mn + 1)))
-        vals = np.zeros(g.size)
-        for t in range(slot.size):
-            top = slot[t] + n_t[t]
-            series = RationalStepSeries(g[slot[t] : top + 1], float(l0[t]))
-            vals[top : slot[t] + mn[t] + 1] = direct_rational_eval(series, -np.arange(1 - dmin[t]))
-        return vals, slot
     P = np.maximum(8, np.left_shift(1, np.frexp(mn)[1].astype(np.int64)))  # least 2^k > mn
     order = np.argsort(P, kind="stable")
     slot = np.empty_like(P)
@@ -348,7 +337,7 @@ def _band_tasks(grid, f, family):
     return tasks, finish
 
 
-def _band_sums(grid, family, direct=False):
+def _band_sums(grid, family):
     """(j0, bx, starts, rv, rh) for every band of the grid, in band order:
     its base row, its points by x rank, its block starts, and the slab sums
     of _band_tasks.  Consecutive bands are pooled until they reach _POOL
@@ -367,13 +356,13 @@ def _band_sums(grid, family, direct=False):
         parts = list(zip(*(p[3] for p in pending)))  # evaluator arguments, band by band
         first = np.cumsum([0] + [n_t.size for n_t in parts[3]])  # each band's first task
         parts[0] = [t + t0 for t, t0 in zip(parts[0], first)]
-        vals, slot = _batched_consecutive_eval(*map(np.concatenate, parts), direct)
+        vals, slot = _batched_consecutive_eval(*map(np.concatenate, parts))
         for (j0, bx, starts, _, finish), t0, t1 in zip(pending, first, first[1:]):
             yield (j0, bx, starts, *finish(vals, slot[t0:t1]))
         pending, size = [], 0
 
 
-def _ar_general(grid, direct=False):
+def _ar_general(grid):
     """Band decomposition: ceil(sqrt(n)) horizontal bands, each split at
     its own points' vertical lines into empty blocks; the per-block series
     of consecutive bands are grouped and multipoint-evaluated in batched
@@ -381,7 +370,7 @@ def _ar_general(grid, direct=False):
     n = grid.n
     out = np.zeros(n + 1)
     acc = np.zeros(n + 1)  # acc[i]: sum over finished bands of V_<=(i)
-    for j0, bx, _, rv, rh in _band_sums(grid, _ne_family, direct):
+    for j0, bx, _, rv, rh in _band_sums(grid, _ne_family):
         hrows = grid.h[j0 : j0 + rh.shape[0]]
         S = np.cumsum(np.cumsum(hrows[:, None] * rh, axis=0), axis=1)
         out[bx] = S[grid.Y[bx] - j0, np.arange(bx.size)] + acc[bx]
@@ -515,7 +504,7 @@ def _abb_decreasing(grid):
     return out
 
 
-def _abb_general(grid, direct=False):
+def _abb_general(grid):
     """Band engine for the anchored bounding box.
 
     Within an empty block only the ne+nw+se family needs a series
@@ -532,7 +521,7 @@ def _abb_general(grid, direct=False):
     acc_nw = np.zeros(n + 2)
     w = grid.w[1:]
     inv_ne_se = 1.0 / (n - np.arange(1, n + 1) + 1.0)
-    for j0, bx, starts, r3, sh_r3 in _band_sums(grid, _den3_family, direct):
+    for j0, bx, starts, r3, sh_r3 in _band_sums(grid, _den3_family):
         kb, B = sh_r3.shape
         hrows = grid.h[j0 : j0 + kb]
         rows = np.arange(j0, j0 + kb)
@@ -578,29 +567,29 @@ def _values_by_xrank_to_original(grid, vals):
     return out
 
 
-def _solve_quadrant_ar(pts_q, method, direct=False):
+def _solve_quadrant_ar(pts_q, method):
     grid = GridArrangement(pts_q)
     Y = grid.Y[1:]
     if method == "quadratic":
         vals = _ar_quadratic(grid)
     elif method == "general":
-        vals = _ar_general(grid, direct)
+        vals = _ar_general(grid)
     elif np.array_equal(Y, np.arange(1, grid.n + 1)):
         vals = _ar_increasing(grid)
     elif np.array_equal(Y, np.arange(grid.n, 0, -1)):
-        vals = _ar_decreasing(grid, direct)
+        vals = _ar_decreasing(grid)
     else:
-        vals = _ar_general(grid, direct)
+        vals = _ar_general(grid)
     return _values_by_xrank_to_original(grid, vals)
 
 
-def _solve_quadrant_abb(pts_q, method, direct=False):
+def _solve_quadrant_abb(pts_q, method):
     grid = GridArrangement(pts_q)
     Y = grid.Y[1:]
     if method == "quadratic":
         vals = _abb_quadratic(grid)
     elif method == "general":
-        vals = _abb_general(grid, direct)
+        vals = _abb_general(grid)
     elif np.array_equal(Y, np.arange(1, grid.n + 1)):
         # On an increasing chain the anchored bounding box of every
         # coalition coincides with its union of anchored rectangles.
@@ -608,7 +597,7 @@ def _solve_quadrant_abb(pts_q, method, direct=False):
     elif np.array_equal(Y, np.arange(grid.n, 0, -1)):
         vals = _abb_decreasing(grid)
     else:
-        vals = _abb_general(grid, direct)
+        vals = _abb_general(grid)
     return _values_by_xrank_to_original(grid, vals)
 
 
@@ -623,7 +612,7 @@ def _split_quadrants(pts):
             yield sel, np.abs(pts[sel])
 
 
-def shapley_anchored_rects(points, method="fast", direct_series=False):
+def shapley_anchored_rects(points, method="fast"):
     """Shapley values of the anchored-rectangles game.
 
     The game splits across quadrants (each quadrant is reflected to the
@@ -639,7 +628,7 @@ def shapley_anchored_rects(points, method="fast", direct_series=False):
     values = np.zeros(pts.shape[0])
     for sel, sub in _split_quadrants(pts):
         try:
-            values[sel] = _solve_quadrant_ar(sub, method, direct_series)
+            values[sel] = _solve_quadrant_ar(sub, method)
         except GeneralPositionError as exc:
             raise GeneralPositionError(
                 str(exc), offending=[tuple(int(sel[k]) for k in t) for t in exc.offending]
@@ -663,7 +652,7 @@ def _spread_axis_ties(coords):
     return out
 
 
-def shapley_anchored_bbox(points, method="fast", direct_series=False):
+def shapley_anchored_bbox(points, method="fast"):
     """Shapley values of the anchored-bounding-box area game.
 
     The box area splits into the four plane quadrants around the origin;
@@ -690,7 +679,7 @@ def shapley_anchored_bbox(points, method="fast", direct_series=False):
                 _spread_axis_ties(np.maximum(x, 0.0)),
                 _spread_axis_ties(np.maximum(y, 0.0)),
             ])
-            values += _solve_quadrant_abb(proj, method, direct_series)
+            values += _solve_quadrant_abb(proj, method)
     from .games import eval_characteristic
 
     total = eval_characteristic("anchored-bbox-area", pts)
@@ -701,7 +690,7 @@ def shapley_anchored_bbox_quadratic(points):
     return shapley_anchored_bbox(points, method="quadratic")
 
 
-def shapley_bbox(points, method="fast", direct_series=False):
+def shapley_bbox(points, method="fast"):
     """Shapley values of the bounding-box area game.
 
     Inclusion-exclusion around the four corners of bb(P):
@@ -735,7 +724,7 @@ def shapley_bbox(points, method="fast", direct_series=False):
     for cx, sx in ((xlo, 1.0), (xhi, -1.0)):
         for cy, sy in ((ylo, 1.0), (yhi, -1.0)):
             sub = np.column_stack([sx * (x - cx), sy * (y - cy)])
-            values += _solve_quadrant_abb(sub, method, direct_series)
+            values += _solve_quadrant_abb(sub, method)
     ox = np.argsort(x)
     oy = np.argsort(y)
     values -= H * _airport_values(xhi - x, ox[::-1])

@@ -8,6 +8,7 @@ verification run.
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import itertools
 import json
@@ -48,7 +49,6 @@ class RunConfig:
     output_path: str = "-"
     output_format: str = "json"
     timing: bool = True
-    direct_series: bool = False
 
 
 @dataclass
@@ -66,8 +66,8 @@ class ResultRecord:
 # Rows per bulk step of the CSV reader and of both writers.
 _CHUNK = 4096
 
-# The input is read in blocks of this many characters, and the JSON reader
-# parses its "points" list in pieces of about this many.
+# The input is read in blocks of this many bytes, and the JSON reader
+# parses its "points" list in pieces of about this many characters.
 _TEXT_BLOCK = 1 << 18
 _JSON_PIECE = 1 << 16
 
@@ -117,15 +117,15 @@ def _fmt(v):
 def read_points(path):
     """The (n, 2) points of a CSV or JSON file, or of stdin for "-".
 
-    The text is read in blocks of _TEXT_BLOCK characters and parsed as it
+    The text is read in blocks of _TEXT_BLOCK bytes and parsed as it
     arrives.  Only a JSON document that the piecewise reader cannot take
     needs the whole text: a file is then read again from the start, and
     stdin, which cannot be, is kept whole once it is known to be JSON.
     """
     if path == "-":
-        return _read_text(_text_blocks(sys.stdin), None)
+        return _read_text(_text_blocks(sys.stdin.buffer), None)
     try:
-        fh = open(path, "r")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
     with fh:
@@ -133,24 +133,23 @@ def read_points(path):
 
 
 def _text_blocks(fh):
-    """The text of fh in blocks of _TEXT_BLOCK characters, a leading
-    byte-order mark dropped; a failed read or decode is a ParseError."""
-    first = True
+    """The text of the binary file fh, read in blocks of _TEXT_BLOCK bytes
+    and decoded as strict UTF-8, a leading byte-order mark dropped; a
+    failed read or decode is a ParseError."""
+    decode = codecs.getincrementaldecoder("utf-8-sig")().decode
     while True:
         try:
-            block = fh.read(_TEXT_BLOCK)
+            data = fh.read(_TEXT_BLOCK)
+            block = decode(data, final=not data)
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read input: {exc}") from exc
-        if not block:
+        if not data:
             return
-        if first and block.startswith("\ufeff"):
-            block = block[1:]
-        first = False
         yield block
 
 
 def _whole_file(path):
-    with open(path, "r") as fh:
+    with open(path, "rb") as fh:
         return "".join(_text_blocks(fh))
 
 
@@ -287,9 +286,10 @@ def _line_chunks(blocks):
     """(number of the first line, lines) for runs of at most _CHUNK lines
     of the text whose blocks are `blocks`.
 
-    The text goes through str.splitlines cut just after the last "\n" of
-    each block, the rest carried into the next.  Such a cut ends a line and
-    never splits a "\r\n", so the lines are those of the whole text.
+    The text goes through str.splitlines cut just after the last "\n", or
+    "\r" other than the last character, of each block, the rest carried
+    into the next.  Such a cut ends a line and never splits a "\r\n", so
+    the lines are those of the whole text.
     """
     lineno = 1
     rest = ""
@@ -298,7 +298,7 @@ def _line_chunks(blocks):
             lines = rest.splitlines()
         else:
             text = rest + block
-            cut = text.rfind("\n") + 1
+            cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
             rest = text[cut:]
             lines = text[:cut].splitlines()
         for k in range(0, len(lines), _CHUNK):
@@ -399,7 +399,7 @@ def write_text(path, pieces):
 
 def cmd_compute(cfg: RunConfig):
     pts = read_points(cfg.input_path)
-    solver = solver_for(cfg.game, cfg.algorithm, direct_series=cfg.direct_series)
+    solver = solver_for(cfg.game, cfg.algorithm)
     t0 = time.perf_counter()
     sv = solver(pts)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -543,30 +543,42 @@ def _bench_sizes(arg):
     return sizes
 
 
+def _timed(solver, pts):
+    t0 = time.perf_counter()
+    solver(pts)
+    return time.perf_counter() - t0
+
+
 def cmd_bench(args):
+    """Per game, the least of three timed calls at each size after one
+    untimed warm-up call, and the slope of log time against log n.  With
+    --chain, increasing and decreasing chains, which take different
+    solvers, are timed and fitted as two series."""
     games_list = _games_from_arg(args.games)
     sizes_of = {g: _bench_sizes(args.sizes or _DEFAULT_BENCH_SIZES[g]) for g in games_list}
     rng = np.random.default_rng(args.seed)
+    kinds = [(None, None)]
+    if args.chain:
+        kinds = [("increasing-chain", True), ("decreasing-chain", False)]
     out_lines = ["game,algorithm,n,seconds"]
     for game in games_list:
-        sizes = sizes_of[game]
-        ns, ts = [], []
-        for n in sizes:
-            pts = (
-                random_chain(rng, n, increasing=bool(len(ns) % 2))
-                if args.chain
-                else random_instance(game, rng, n)
-            )
-            solver = solver_for(game, args.algorithm)
-            t0 = time.perf_counter()
-            solver(pts)
-            dt = time.perf_counter() - t0
-            ns.append(n)
-            ts.append(dt)
-            out_lines.append(f"{game},{args.algorithm},{n},{dt:.6f}")
-        if len(ns) >= 2:
-            slope = float(np.polyfit(np.log(ns), np.log(ts), 1)[0])
-            out_lines.append(f"# slope,{game},{args.algorithm},{slope:.4f}")
+        solver = solver_for(game, args.algorithm)
+        ns = sizes_of[game]
+        for kind, increasing in kinds:
+            label = f"{game}:{kind}" if kind else game
+            ts = []
+            for n in ns:
+                if kind is None:
+                    pts = random_instance(game, rng, n)
+                else:
+                    pts = random_chain(rng, n, increasing)
+                if not ts:
+                    solver(pts)
+                ts.append(min(_timed(solver, pts) for _ in range(3)))
+                out_lines.append(f"{label},{args.algorithm},{n},{ts[-1]:.6f}")
+            if len(ns) >= 2:
+                slope = float(np.polyfit(np.log(ns), np.log(ts), 1)[0])
+                out_lines.append(f"# slope,{label},{args.algorithm},{slope:.4f}")
     write_text(args.output, ["\n".join(out_lines) + "\n"])
     return EXIT_OK
 
@@ -601,11 +613,6 @@ def build_parser():
         action="store_true",
         help="serialize wall_time_ms as 0 for bit-identical output comparisons",
     )
-    pc.add_argument(
-        "--direct-eval",
-        action="store_true",
-        help="force direct rational evaluation instead of FFT multipoint",
-    )
 
     pv = sub.add_parser("verify", help="cross-check all algorithms on random instances")
     pv.add_argument("--games", default="all")
@@ -638,7 +645,6 @@ def main(argv=None):
                 output_path=args.output,
                 output_format=args.format,
                 timing=not args.no_timing,
-                direct_series=args.direct_eval,
             )
             return cmd_compute(cfg)
         if args.command == "verify":

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, GeneralPositionError
-from .games import ShapleyVector
+from .games import ShapleyVector, rho, rho_prime
 from .geometry import DEGENERACY_TOL, Disk
 
 _MEASURES = ("area", "perimeter")
@@ -53,34 +53,6 @@ def rho_prime_basis(size, level):
     if level < 0:
         raise DomainError("rho_prime_basis requires level >= 0")
     return math.factorial(size - 1) / math.prod(range(level + 1, level + size + 1))
-
-
-def _rho3(levels):
-    lv = levels.astype(float)
-    out = np.zeros_like(lv)
-    ok = lv >= 1
-    l, = (lv[ok],)
-    out[ok] = 6.0 / ((l + 3.0) * (l + 2.0) * (l + 1.0) * l)
-    return out
-
-
-def _rho3_prime(levels):
-    lv = levels.astype(float)
-    return 2.0 / ((lv + 3.0) * (lv + 2.0) * (lv + 1.0))
-
-
-def _rho2(levels):
-    lv = levels.astype(float)
-    out = np.zeros_like(lv)
-    ok = lv >= 1
-    l = lv[ok]
-    out[ok] = 2.0 / ((l + 2.0) * (l + 1.0) * l)
-    return out
-
-
-def _rho2_prime(levels):
-    lv = levels.astype(float)
-    return 1.0 / ((lv + 2.0) * (lv + 1.0))
 
 
 class _Sweep(NamedTuple):
@@ -303,10 +275,10 @@ def shapley_disk(points, measure="area", minus_mode="pencil"):
     acc_minus = np.zeros(n)
     for sw in _sweeps(pts):
         w2 = meas_of(sw.pair_radius)
-        w2_plus = w2 * _rho2_prime(sw.pair_level)
+        w2_plus = w2 * rho_prime(2, sw.pair_level)
         phi_plus[sw.i] += np.sum(w2_plus)
         phi_plus[sw.js] += w2_plus
-        phi_minus += sw.outside.T @ (w2 * _rho2(sw.pair_level))
+        phi_minus += sw.outside.T @ (w2 * rho(2, sw.pair_level))
 
         plus, minus = _triple_sums(sw, meas_of, n)
         acc_plus += plus
@@ -320,8 +292,8 @@ def _triple_sums(sw, meas_of, n):
     """phi_plus and phi_minus of the triple bases in the pencils of a sweep."""
     order = sw.order.ravel()
     w = meas_of(sw.radius)
-    w_plus = np.where(sw.acute, w * _rho3_prime(sw.level), 0.0)
-    w_minus = np.where(sw.acute, w * _rho3(sw.level), 0.0)
+    w_plus = np.where(sw.acute, w * rho_prime(3, sw.level), 0.0)
+    w_minus = np.where(sw.acute, w * rho(3, sw.level), 0.0)
     s_plus = np.sum(w_plus, axis=1)
     plus = np.bincount(order, w_plus.ravel(), minlength=n)
     plus[sw.i] += np.sum(s_plus)
@@ -352,8 +324,8 @@ def _shapley_direct(pts, meas_of):
     rho_prime_basis.  The sweep's outside masks and sums are not used.
     """
     n = pts.shape[0]
-    rho = {b: np.array([rho_basis(b, lv) if lv else 0.0 for lv in range(n)]) for b in (2, 3)}
-    rho_prime = {b: np.array([rho_prime_basis(b, lv) for lv in range(n)]) for b in (2, 3)}
+    rho_of = {b: np.array([rho_basis(b, lv) if lv else 0.0 for lv in range(n)]) for b in (2, 3)}
+    rho_prime_of = {b: np.array([rho_prime_basis(b, lv) for lv in range(n)]) for b in (2, 3)}
     phi = np.zeros(n)
     for sw in _sweeps(pts):
         i = sw.i
@@ -378,9 +350,9 @@ def _shapley_direct(pts, meas_of):
         for support, center, radius, level in bases:
             size = support.shape[1]
             w = meas_of(radius)
-            w_plus = np.repeat(w * rho_prime[size][level], size)
+            w_plus = np.repeat(w * rho_prime_of[size][level], size)
             phi += np.bincount(support.ravel(), w_plus, minlength=n)
-            w_minus = w * rho[size][level]
+            w_minus = w * rho_of[size][level]
             step = max(1, _DIRECT_BLOCK // n)
             for lo in range(0, w.size, step):
                 c = center[lo : lo + step]

@@ -14,9 +14,6 @@ from .errors import DomainError
 
 ALGORITHM_NAMES = ("auto", "fast", "quadratic", "naive", "oracle-perm", "oracle-subset")
 
-# Axis engines that take ``direct_series``.
-_SERIES_GAMES = ("anchored-rects", "bbox-area", "anchored-bbox-area")
-
 # game -> (module, function, keyword arguments after the points).
 _FAST = {
     "hull-area": ("hull", "shapley_hull_area", {}),
@@ -55,28 +52,23 @@ def _interval(pts):
     return games.shapley_interval_length(pts[:, 0])
 
 
-def _load(entry, **extra):
+def _load(entry):
     """The solver an entry names, its module imported on this call."""
     module, name, kwargs = entry
     fn = getattr(importlib.import_module(f"{__package__}.{module}"), name)
-    kwargs = {**kwargs, **extra}
     return (lambda p: fn(p, **kwargs)) if kwargs else fn
 
 
-def solver_for(game, algorithm, direct_series=False):
+def solver_for(game, algorithm):
     """Resolve (game, algorithm) to a callable points -> ShapleyVector.
 
     "auto" picks the fast engine (which already detects chains); the
-    brute-force oracles are never auto-selected.  ``direct_series``
-    forces the axis engines to evaluate rational series pointwise
-    instead of via FFT multipoint (bit-stability experiments).
+    brute-force oracles are never auto-selected.
     """
     games.check_game(game)
     if algorithm not in ALGORITHM_NAMES:
         raise DomainError(f"unknown algorithm {algorithm!r}")
     if algorithm in ("auto", "fast"):
-        if direct_series and game in _SERIES_GAMES:
-            return _load(_FAST[game], direct_series=True)
         return _load(_FAST[game])
     if algorithm == "quadratic":
         if game not in _QUADRATIC:

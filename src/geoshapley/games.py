@@ -4,10 +4,13 @@ Every game assigns to a coalition Q of points a nonnegative geometric
 measure v(Q), with v(empty) = 0.  The five 1-D-reducible games (airport,
 interval length, area band, and the two box perimeters) have O(n log n)
 Shapley solvers built from the Littlechild-Owen recurrence and linearity.
+The ordering probabilities rho and rho' that weight the hull and disk
+bases live here too, since every engine loads this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +52,35 @@ class ShapleyVector:
 def check_game(game):
     if game not in GAME_KINDS:
         raise DomainError(f"unknown game kind {game!r}")
+
+
+def _rising(size, lv):
+    """(lv + size) (lv + size - 1) ... (lv + 1), multiplied in that order."""
+    den = lv + size
+    for k in range(size - 1, 0, -1):
+        den = den * (lv + k)
+    return den
+
+
+def rho(size, levels):
+    """Per level, the probability that p, one of the `level` points outside
+    a basis of `size` points, comes after the basis and before the other
+    level - 1 points outside it in a random order:
+    size! / ((level+size) ... (level+1) level), and 0 at level 0.  A hull
+    triangle's base edge is a basis of 2."""
+    lv = np.asarray(levels, dtype=float)
+    out = np.zeros_like(lv)
+    np.divide(math.factorial(size), _rising(size, lv) * lv, out=out, where=lv >= 1)
+    return out
+
+
+def rho_prime(size, levels):
+    """Per level, the probability that p, a point of a basis of `size`
+    points, comes after the rest of the basis and before the `level`
+    points outside it in a random order:
+    (size-1)! / ((level+size) ... (level+1)).  A hull edge is a basis of 2."""
+    lv = np.asarray(levels, dtype=float)
+    return math.factorial(size - 1) / _rising(size, lv)
 
 
 def _anchored_union_area(pts):

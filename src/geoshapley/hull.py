@@ -27,8 +27,8 @@ import math
 import numpy as np
 
 from . import geometry
-from .errors import DomainError, GeneralPositionError
-from .games import ShapleyVector
+from .errors import GeneralPositionError
+from .games import ShapleyVector, rho, rho_prime
 
 _ANGLE_TOL = 1e-12
 
@@ -37,36 +37,6 @@ _ANGLE_TOL = 1e-12
 # set near 0.5 MB while numpy's per-call cost stays small against the work;
 # 2^13 and 2^14 were no more than 5% faster from n = 250 to 2000.
 _BLOCK = 1 << 12
-
-
-def rho(level):
-    """Probability that a fixed triangle p-q-q' realizes the hull delta:
-    2 / ((level+2)(level+1)level).  Requires level >= 1."""
-    if level < 1:
-        raise DomainError("rho requires level >= 1")
-    return 2.0 / ((level + 2.0) * (level + 1.0) * level)
-
-
-def rho_prime(level):
-    """Probability that a fixed directed edge (q, p) enters the hull:
-    1 / ((level+2)(level+1)).  Valid for level >= 0."""
-    if level < 0:
-        raise DomainError("rho_prime requires level >= 0")
-    return 1.0 / ((level + 2.0) * (level + 1.0))
-
-
-def _rho_array(levels):
-    lv = levels.astype(float)
-    out = np.zeros_like(lv)
-    pos = lv >= 1
-    lvp = lv[pos]
-    out[pos] = 2.0 / ((lvp + 2.0) * (lvp + 1.0) * lvp)
-    return out
-
-
-def _rho_prime_array(levels):
-    lv = levels.astype(float)
-    return 1.0 / ((lv + 2.0) * (lv + 1.0))
 
 
 def _sweep(pts):
@@ -161,7 +131,7 @@ def shapley_hull_area(points):
     total = geometry.hull_area(geometry.convex_hull(pts))
     if n <= 2:
         return ShapleyVector(np.zeros(n), total, "hull-area")
-    rho_lv = _rho_array(np.arange(n - 1))
+    rho_lv = rho(2, np.arange(n - 1))
     plus = rho_lv + rho_lv[::-1]  # rho(level(r, s)) + rho(level(s, r))
     minus = rho_lv - rho_lv[::-1]
     acc = np.zeros(n)
@@ -198,7 +168,7 @@ def shapley_hull_area_naive(points):
     total = geometry.hull_area(geometry.convex_hull(pts))
     if n <= 2:
         return ShapleyVector(np.zeros(n), total, "hull-area")
-    rho_tab = _rho_array(np.maximum(all_pair_levels(pts), 0))
+    rho_tab = rho(2, np.maximum(all_pair_levels(pts), 0))
     values = _naive_left_sums(pts, rho_tab, lambda cross, w: 0.5 * cross * w)
     return ShapleyVector(values, total, "hull-area")
 
@@ -217,10 +187,10 @@ def shapley_hull_perimeter(points, naive=False):
         return ShapleyVector(np.zeros(n), total, "hull-perimeter")
     if naive:
         return ShapleyVector(_perimeter_naive(pts), total, "hull-perimeter")
-    rho_lv = _rho_array(np.arange(n - 1))
+    rho_lv = rho(2, np.arange(n - 1))
     plus = rho_lv + rho_lv[::-1]
     minus = rho_lv - rho_lv[::-1]
-    rho_p = _rho_prime_array(np.arange(n - 1))
+    rho_p = rho_prime(2, np.arange(n - 1))
     values = np.zeros(n)
     for rows, idx, d, sign, level in _sweep(pts):
         dist = np.abs(d)
@@ -237,7 +207,7 @@ def _perimeter_naive(pts):
     """phi_plus - phi_minus by direct pair sums over all_pair_levels."""
     levels = np.maximum(all_pair_levels(pts), 0)
     dist = np.hypot(*(pts[None, :, :] - pts[:, None, :]).transpose(2, 0, 1))
-    edge = dist * _rho_prime_array(levels)
+    edge = dist * rho_prime(2, levels)
     phi_plus = edge.sum(axis=0) + edge.sum(axis=1)
-    cut = dist * _rho_array(levels)
+    cut = dist * rho(2, levels)
     return phi_plus - _naive_left_sums(pts, cut, lambda cross, w: w)

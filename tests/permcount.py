@@ -1,17 +1,17 @@
 """Closed-form probabilities of ordering events in random permutations.
 
-These are the combinatorial kernels behind every weighting scheme in the
-hull, disk, and bounding-box engines.  All probabilities are returned as
-floats computed from products of ratios, so no factorial ever overflows;
-exact Fraction variants exist for the test suite.
+These are the combinatorial kernels behind the weights of the hull, disk
+and bounding-box engines (``games.rho``, ``games.rho_prime`` and
+``axis._abb_cols_psi``), stated on their own so that the tests can check
+them against enumeration and the engines' weights against them.  The
+float versions are products of ratios, so no factorial ever overflows;
+the exact versions are Fractions.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from geoshapley.errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def prob_first_of_B_before_A_after_some_C(counts: TripleCounts):
 
 
 def prob_sandwich_exact(alpha, beta):
-    """Exact-rational variant of prob_sandwich (test-suite use)."""
+    """Exact-rational variant of prob_sandwich."""
     p = Fraction(1)
     for k in range(1, beta + 1):
         p *= Fraction(k, alpha + k)

@@ -24,14 +24,8 @@ import pytest
 
 from geoshapley import (
     GAME_KINDS,
-    RationalStepSeries,
-    TripleCounts,
+    GridArrangement,
     coalition_table,
-    direct_rational_eval,
-    multipoint_rational_eval,
-    prob_first_of_A_before_B_or_C,
-    prob_first_of_B_before_A_after_some_C,
-    prob_sandwich,
     shapley_airport,
     shapley_anchored_rects,
     shapley_by_permutations,
@@ -40,6 +34,7 @@ from geoshapley import (
     shapley_hull_area,
 )
 from geoshapley.axis import (
+    _abb_cols_psi,
     shapley_anchored_bbox,
     shapley_anchored_bbox_quadratic,
     shapley_anchored_rects_quadratic,
@@ -56,11 +51,17 @@ from geoshapley.games import (
 )
 from geoshapley.hull import shapley_hull_area_naive, shapley_hull_perimeter
 from geoshapley.instances import random_chain, random_instance, verification_suite
-from geoshapley.permcount import (
+
+from permcount import (
+    TripleCounts,
+    prob_first_of_A_before_B_or_C,
     prob_first_of_A_exact,
+    prob_first_of_B_before_A_after_some_C,
     prob_first_of_B_exact,
+    prob_sandwich,
     prob_sandwich_exact,
 )
+from rational_series import RationalStepSeries, direct_rational_eval, engine_multipoint_eval
 
 REL = 1e-9
 ABS = 1e-12
@@ -274,8 +275,10 @@ def _enumerate_sandwich_exact(alpha, beta, extra=0):
 def test_criterion_5_probability_validation():
     failures = []
 
-    # Sandwich family: hull rho/rho', disk rho(B)/rho'(B) and
-    # prob_sandwich are all before/after ordering probabilities.
+    # Sandwich family: the engines' rho/rho' (games.rho, games.rho_prime:
+    # hull at size 2, disk at sizes 2 and 3), the direct disk path's
+    # rho(B)/rho'(B) and prob_sandwich are all before/after ordering
+    # probabilities.
     sandwich_cases = [
         (0, 0, 0),
         (1, 1, 0),
@@ -291,15 +294,16 @@ def test_criterion_5_probability_validation():
         if abs(prob_sandwich(alpha, beta) - float(exact)) > 1e-12:
             failures.append(f"sandwich({alpha},{beta}) float")
 
-    from geoshapley.hull import rho, rho_prime
     from geoshapley.disk import rho_basis, rho_prime_basis
+    from geoshapley.games import rho, rho_prime
 
-    for level in (1, 2, 3):
-        if abs(rho(level) - float(prob_sandwich_exact(level - 1, 2))) > 1e-12:
-            failures.append(f"hull rho({level})")
-    for level in (0, 1, 2, 3):
-        if abs(rho_prime(level) - float(prob_sandwich_exact(level, 1))) > 1e-12:
-            failures.append(f"hull rho'({level})")
+    for size in (2, 3):
+        for level in (1, 2, 3):
+            if abs(rho(size, level) - float(prob_sandwich_exact(level - 1, size))) > 1e-12:
+                failures.append(f"rho size={size} level={level}")
+        for level in (0, 1, 2, 3):
+            if abs(rho_prime(size, level) - float(prob_sandwich_exact(level, size - 1))) > 1e-12:
+                failures.append(f"rho' size={size} level={level}")
     for size in (2, 3):
         for level in (1, 2, 3):
             if abs(rho_basis(size, level) - float(prob_sandwich_exact(level - 1, size))) > 1e-12:
@@ -387,6 +391,29 @@ def test_criterion_5_probability_validation():
                 if abs(ne * psi_ne + nw * psi_nw + se * psi_se - 1.0) > 1e-12:
                     failures.append(f"psi identity ({ne},{nw},{se})")
 
+    # The anchored-bbox engines' psi columns on a small random grid, against
+    # the exact first-of-set probabilities of each cell's brute-force
+    # counts, wherever the quadrant class holds a point.
+    grid = GridArrangement(np.random.default_rng(505).uniform(0.1, 10.0, (7, 2)))
+    n = grid.n
+    Y = grid.Y[1:]
+    for i in range(1, n + 1):
+        right = np.arange(1, n + 1) >= i  # by x rank
+        ne = np.array([np.sum(right & (Y >= j)) for j in range(1, n + 1)])
+        nw = np.array([np.sum(~right & (Y >= j)) for j in range(1, n + 1)])
+        se = np.array([np.sum(right & (Y < j)) for j in range(1, n + 1)])
+        psi = _abb_cols_psi(grid, i, ne)
+        for j in range(n):
+            a, b, g = int(ne[j]), int(nw[j]), int(se[j])
+            exact = (
+                prob_first_of_A_exact(TripleCounts(a, b, g)),
+                prob_first_of_B_exact(TripleCounts(a, b, g)),
+                prob_first_of_B_exact(TripleCounts(a, g, b)),
+            )
+            for name, got, want, members in zip(("ne", "nw", "se"), psi, exact, (a, b, g)):
+                if members and abs(got[j] - float(want)) > 1e-12:
+                    failures.append(f"engine psi_{name} cell ({i},{j + 1})")
+
     report(
         5,
         "closed-form-probability-validation",
@@ -399,16 +426,16 @@ def test_criterion_6_multipoint_evaluation():
     rng = np.random.default_rng(606)
     worst = 0.0
     # anchor: R(x) = 1/(1+x) at 0, 1, 2
-    anchor = multipoint_rational_eval(RationalStepSeries([1.0], 1.0), 0, 2)
+    anchor = engine_multipoint_eval(RationalStepSeries([1.0], 1.0), 0, 2)
     worst = max(worst, rel_diff(anchor, [1.0, 0.5, 1.0 / 3.0]))
     # full comparison at moderate scale
     series = RationalStepSeries(rng.uniform(0.0, 2.0, 2000), 2.0)
-    fast = multipoint_rational_eval(series, -1, 2000)
+    fast = engine_multipoint_eval(series, -1, 2000)
     direct = direct_rational_eval(series, np.arange(-1, 2000))
     worst = max(worst, rel_diff(fast, direct))
     # n, m = 1e5: probe the FFT output against direct evaluation
     series = RationalStepSeries(rng.uniform(0.0, 1.0, 100_001), 3.0)
-    fast = multipoint_rational_eval(series, -2, 100_000)
+    fast = engine_multipoint_eval(series, -2, 100_000)
     probes = np.arange(-2, 100_000 - 1, 997)
     direct = direct_rational_eval(series, probes)
     worst = max(worst, rel_diff(fast[probes + 2], direct))

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from geoshapley.algebra import (
-    RationalStepSeries,
-    convolve,
-    direct_rational_eval,
-    multipoint_rational_eval,
-)
+from geoshapley.algebra import convolve
 from geoshapley.errors import DomainError
 
 from conftest import assert_close
+from rational_series import RationalStepSeries, direct_rational_eval, engine_multipoint_eval
 
 
 class TestConvolve:
@@ -46,26 +42,29 @@ class TestConvolve:
 
 
 class TestMultipointEval:
+    """Consecutive-point evaluation through the engines' pooled evaluator,
+    one task per series."""
+
     def test_single_reciprocal(self):
         series = RationalStepSeries([1.0], 1.0)
-        assert_close(multipoint_rational_eval(series, 0, 2), [1, 1 / 2, 1 / 3])
+        assert_close(engine_multipoint_eval(series, 0, 2), [1, 1 / 2, 1 / 3])
 
     def test_two_terms_single_point(self):
         series = RationalStepSeries([1.0, 1.0], 1.0)
-        assert_close(multipoint_rational_eval(series, 0, 0), [1.5])
+        assert_close(engine_multipoint_eval(series, 0, 0), [1.5])
 
     def test_matches_direct_on_random_series(self, rng):
         b = rng.uniform(0, 2, size=500)
         series = RationalStepSeries(b, 3.0)
         ell, m = -2, 800
-        fast = multipoint_rational_eval(series, ell, m)
+        fast = engine_multipoint_eval(series, ell, m)
         direct = direct_rational_eval(series, np.arange(ell, ell + m + 1))
         assert np.max(np.abs(fast - direct) / np.abs(direct)) <= 1e-9
 
     def test_large_scale(self, rng):
         b = rng.uniform(0, 1, size=100_000)
         series = RationalStepSeries(b, 2.0)
-        fast = multipoint_rational_eval(series, -1, 100_000)
+        fast = engine_multipoint_eval(series, -1, 100_000)
         probe = np.arange(-1, 100_000, 9973)
         direct = direct_rational_eval(series, probe)
         assert np.max(np.abs(fast[probe + 1] - direct) / np.abs(direct)) <= 1e-9
@@ -73,7 +72,7 @@ class TestMultipointEval:
     def test_precondition_enforced(self):
         series = RationalStepSeries([1.0], 1.0)
         with pytest.raises(DomainError):
-            multipoint_rational_eval(series, -1, 3)
+            engine_multipoint_eval(series, -1, 3)
 
     def test_direct_rejects_zero_denominator(self):
         series = RationalStepSeries([1.0], 1.0)
@@ -82,6 +81,6 @@ class TestMultipointEval:
 
     def test_negative_ell_allowed_when_delta_large(self):
         series = RationalStepSeries([2.0, 0.5], 5.0)
-        out = multipoint_rational_eval(series, -4, 3)
+        out = engine_multipoint_eval(series, -4, 3)
         direct = direct_rational_eval(series, np.arange(-4, 0))
         assert_close(out, direct, rel=1e-12)

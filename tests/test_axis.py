@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from geoshapley import axis
-from geoshapley.algebra import RationalStepSeries, direct_rational_eval
 from geoshapley.axis import (
     GridArrangement,
     shapley_anchored_bbox,
@@ -16,6 +15,7 @@ from geoshapley.errors import AxisDegeneracyError, DomainError, GeneralPositionE
 from geoshapley.oracle import shapley_by_permutations
 
 from conftest import assert_close, random_points
+from rational_series import RationalStepSeries, direct_batched_eval, direct_rational_eval
 
 
 def ne_table(grid):
@@ -105,10 +105,11 @@ class TestAnchoredRects:
             assert_close(c.values, q.values, rel=1e-9)
             assert_close(g.values, q.values, rel=1e-9)
 
-    def test_direct_series_mode_matches(self, rng):
+    def test_direct_series_mode_matches(self, rng, monkeypatch):
         pts = random_points(rng, 300)
         a = shapley_anchored_rects(pts)
-        b = shapley_anchored_rects(pts, direct_series=True)
+        monkeypatch.setattr(axis, "_batched_consecutive_eval", direct_batched_eval)
+        b = shapley_anchored_rects(pts)
         assert_close(a.values, b.values, rel=1e-10)
 
     def test_per_cell_identity(self, rng):
@@ -259,16 +260,17 @@ def evaluator_shapes():
 
 
 class TestBatchedEvaluator:
+    # direct=True checks the direct evaluator that other tests substitute
+    # for the FFT one.
     @pytest.mark.parametrize("direct", [False, True])
     def test_matches_direct_sums(self, rng, direct):
+        evaluate = direct_batched_eval if direct else axis._batched_consecutive_eval
         shapes = evaluator_shapes()
         task, offset, weight, n_t, l0, dmin = random_tasks(rng, shapes)
         order = rng.permutation(len(shapes))  # tasks of one size need not be adjacent
         remap = np.empty_like(order)
         remap[order] = np.arange(order.size)
-        vals, slot = axis._batched_consecutive_eval(
-            remap[task], offset, weight, n_t[order], l0[order], dmin[order], direct
-        )
+        vals, slot = evaluate(remap[task], offset, weight, n_t[order], l0[order], dmin[order])
         for t in range(len(shapes)):
             G = np.bincount(offset[task == t], weights=weight[task == t], minlength=n_t[t] + 1)
             x = np.arange(dmin[t], 1)
@@ -279,9 +281,9 @@ class TestBatchedEvaluator:
     def test_nonpositive_denominator_rejected(self, rng):
         task, offset, weight, n_t, l0, dmin = random_tasks(rng, [(3, 4), (2, 5)])
         l0[1] = 5  # l0 + dmin = 0
-        for direct in (False, True):
+        for evaluate in (axis._batched_consecutive_eval, direct_batched_eval):
             with pytest.raises(DomainError):
-                axis._batched_consecutive_eval(task, offset, weight, n_t, l0, dmin, direct)
+                evaluate(task, offset, weight, n_t, l0, dmin)
 
 
 def chain_sizes():
@@ -293,7 +295,7 @@ class TestChainBoundaries:
     the dyadic levels gain a block cut short below row 1."""
 
     @pytest.mark.parametrize("game", ["anchored-rects", "anchored-bbox"])
-    def test_decreasing_chains_match_quadratic(self, game):
+    def test_decreasing_chains_match_quadratic(self, monkeypatch, game):
         rng = np.random.default_rng(6)
         fast, quadratic = {
             "anchored-rects": (shapley_anchored_rects, shapley_anchored_rects_quadratic),
@@ -303,7 +305,9 @@ class TestChainBoundaries:
             ch = make_chain(rng, n, inc=False)
             q = quadratic(ch).values
             assert_close(fast(ch).values, q, rel=1e-9, abs_floor=1e-13)
-            assert_close(fast(ch, direct_series=True).values, q, rel=1e-9, abs_floor=1e-13)
+            with monkeypatch.context() as m:
+                m.setattr(axis, "_batched_consecutive_eval", direct_batched_eval)
+                assert_close(fast(ch).values, q, rel=1e-9, abs_floor=1e-13)
 
 
 def band_staircase(rng, n):
@@ -318,7 +322,7 @@ def band_staircase(rng, n):
 
 
 # Budget 1 puts one band in each pool, 20000 a few.  The staircase runs
-# with both series modes.
+# with both the FFT evaluator and the direct one from the tests.
 POOL_CASES = [
     pytest.param(game, budget, "uniform", False, id=f"{game}-{budget}")
     for game in ("anchored-rects", "anchored-bbox")
@@ -338,9 +342,11 @@ class TestBandPools:
             "anchored-bbox": (shapley_anchored_bbox, shapley_anchored_bbox_quadratic),
         }[game]
         pts = random_points(rng, 700) if shape == "uniform" else band_staircase(rng, 700)
-        pooled = fast(pts, method="general", direct_series=direct).values
+        if direct:
+            monkeypatch.setattr(axis, "_batched_consecutive_eval", direct_batched_eval)
+        pooled = fast(pts, method="general").values
         monkeypatch.setattr(axis, "_POOL", budget)
-        small = fast(pts, method="general", direct_series=direct).values
+        small = fast(pts, method="general").values
         assert_close(small, pooled, rel=1e-12, abs_floor=0.0)
         q = quadratic(pts).values
         assert_close(pooled, q, rel=1e-9, abs_floor=1e-13)

@@ -167,26 +167,6 @@ class TestCompute:
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_direct_eval_flag_matches_fft(self, tmp_path, capsys):
-        src = tmp_path / "in.csv"
-        rng = np.random.default_rng(6)
-        src.write_text("\n".join(f"{float(x)!r},{float(y)!r}" for x, y in rng.uniform(0.1, 9, (50, 2))))
-        results = []
-        for flag in ((), ("--direct-eval",)):
-            code, out, _ = run(
-                capsys,
-                "compute",
-                "--game",
-                "anchored-bbox-area",
-                "--input",
-                str(src),
-                "--no-timing",
-                *flag,
-            )
-            assert code == 0
-            results.append([v["shapley"] for v in json.loads(out)["values"]])
-        assert_close(results[0], results[1], rel=1e-10)
-
     def test_comments_and_header(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
         path.write_text("# a comment\nx,y\n1,2\n2,1\n")
@@ -410,7 +390,7 @@ class TestReadPoints:
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
         if source == "stdin":
-            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            monkeypatch.setattr(sys, "stdin", _stdin_of(text.encode()))
             path = "-"
         code, out, _ = run(capsys, "compute", "--game", "bbox-perimeter", "--input", str(path))
         assert code == 0
@@ -496,6 +476,7 @@ CSV_BLOCK_TEXTS = [
     "# c\n\n1,2\r\n3\r\n4,5\n",
     "1,2\r\n3,4\r\nfoo\r\n5,6\r\n",
     "\r\n\r\n\n\n1,2",
+    "1,2\r3,4\r\n5,6\r\rfoo\r7,8\r",
 ]
 
 
@@ -557,10 +538,12 @@ class TestStreamedReaders:
 
 
 def _stdin_of(data):
-    """A stdin holding the bytes `data`: UTF-8, strict, and split at "\n"
-    only, as Python's stdin is on POSIX, so a "\r\n" reaches the reader
-    whole or cut between two blocks."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    """A stdin holding the bytes `data` as Python's stdin is on POSIX in
+    UTF-8 mode: split at "\n" only, and decoding a byte that is not UTF-8
+    to a lone surrogate instead of failing."""
+    return io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n"
+    )
 
 
 def _read_sources(monkeypatch, tmp_path, text, block):
@@ -665,6 +648,30 @@ class TestBlockReader:
         assert code == 1 and out == ""
         assert err.startswith("error (I/O): cannot read input: 'utf-8' codec can't decode byte 0xff")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("rows", [0, 40000], ids=["first-block", "past-first-block"])
+    def test_undecodable_comment_exit_1(self, monkeypatch, tmp_path, capsys, source, rows):
+        good = _numbered_rows(rows)
+        data = ("x,y\n" + "".join(r + "\n" for r in good)).encode() + b"# \xff\n3,4\n"
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", _stdin_of(data))
+            path = "-"
+        code, out, err = run(capsys, "compute", "--game", "airport", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error (I/O): cannot read input: 'utf-8' codec can't decode byte 0xff")
+
+    def test_undecodable_stdin_of_the_program_exit_1(self):
+        path = [_PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run(
+            [sys.executable, "-m", "geoshapley.cli", "compute", "--game", "airport"],
+            input=b"x,y\n# \xff\n1,2\n3,4\n", capture_output=True, env=env,
+        )
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr.startswith(b"error (I/O): cannot read input: 'utf-8' codec")
 
 
 def record_to_json(rec):
@@ -1096,8 +1103,8 @@ class TestVerify:
         assert "VERIFY PASSED" in out
 
     def test_injected_fault_fails_with_named_game(self, capsys, monkeypatch):
-        rho_array = hull._rho_array
-        monkeypatch.setattr(hull, "_rho_array", lambda levels: rho_array(levels) * (1.0 + 1e-6))
+        rho = hull.rho
+        monkeypatch.setattr(hull, "rho", lambda size, levels: rho(size, levels) * (1.0 + 1e-6))
         code, out, _ = run(
             capsys,
             "verify",
@@ -1149,6 +1156,39 @@ class TestBench:
         assert text.startswith("game,algorithm,n,seconds")
         assert "airport,fast,1000," in text
         assert "# slope,airport,fast," in text
+
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_series_and_calls(self, capsys, monkeypatch, chain):
+        """One untimed warm-up call and three timed calls per size; chains
+        of each orientation are timed over all sizes and fitted apart."""
+        calls = []
+        solver_for = cli.solver_for
+
+        def counted(game, algorithm):
+            solver = solver_for(game, algorithm)
+
+            def solve(pts):
+                calls.append(bool(pts[-1, 1] > pts[0, 1]))
+                return solver(pts)
+
+            return solve
+
+        monkeypatch.setattr(cli, "solver_for", counted)
+        argv = ["bench", "--games", "anchored-rects", "--sizes", "64,128,256"]
+        code, out, _ = run(capsys, *argv, *(["--chain"] if chain else []))
+        assert code == 0
+        if chain:
+            labels = ["anchored-rects:increasing-chain", "anchored-rects:decreasing-chain"]
+            assert calls == [True] * 10 + [False] * 10
+        else:
+            labels = ["anchored-rects"]
+            assert len(calls) == 10
+        lines = out.splitlines()
+        for label in labels:
+            rows = [line.split(",") for line in lines if line.startswith(label + ",")]
+            assert [r[2] for r in rows] == ["64", "128", "256"]
+            assert sum(line.startswith(f"# slope,{label},fast,") for line in lines) == 1
+        assert len(lines) == 1 + 4 * len(labels)
 
     def test_oracle_subset_exponential_family(self, capsys):
         code, out, _ = run(

@@ -14,9 +14,9 @@ from geoshapley.disk import (
 from geoshapley.errors import DomainError, GeneralPositionError
 from geoshapley.geometry import min_enclosing_disk
 from geoshapley.oracle import shapley_by_permutations, shapley_by_subsets
-from geoshapley.permcount import prob_sandwich
 
 from conftest import assert_close, on_circle, random_plane_points
+from permcount import prob_sandwich
 
 
 def brute_bases(pts):

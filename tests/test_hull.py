@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from geoshapley import hull
-from geoshapley.errors import DomainError, GeneralPositionError
+from geoshapley.errors import GeneralPositionError
+from geoshapley.games import rho, rho_prime
 from geoshapley.geometry import convex_hull, hull_area, hull_perimeter
 from geoshapley.hull import (
     all_pair_levels,
-    rho,
-    rho_prime,
     shapley_hull_area,
     shapley_hull_area_naive,
     shapley_hull_perimeter,
 )
 from geoshapley.oracle import shapley_by_permutations
-from geoshapley.permcount import prob_sandwich
 
 from conftest import assert_close, random_plane_points
+from permcount import prob_sandwich
 
 
 def brute_levels(pts):
@@ -72,23 +71,36 @@ class TestLevels:
 
 
 class TestRho:
+    """The hull's weights are games.rho and games.rho_prime at size 2."""
+
     def test_paper_values(self):
-        assert_close(rho(1), 1 / 3, rel=1e-15)
-        assert_close(rho_prime(0), 1 / 2, rel=1e-15)
+        assert_close(rho(2, 1), 1 / 3, rel=1e-15)
+        assert_close(rho_prime(2, 0), 1 / 2, rel=1e-15)
 
     def test_rho_2_matches_sandwich(self):
         # rho(level) is the sandwich probability with beta=2, alpha=level-1
-        assert_close(rho(2), 1 / 12, rel=1e-15)
+        assert_close(rho(2, 2), 1 / 12, rel=1e-15)
         for level in range(1, 6):
-            assert_close(rho(level), prob_sandwich(level - 1, 2), rel=1e-12)
+            assert_close(rho(2, level), prob_sandwich(level - 1, 2), rel=1e-12)
 
     def test_rho_prime_matches_sandwich(self):
         for level in range(0, 6):
-            assert_close(rho_prime(level), prob_sandwich(level, 1), rel=1e-12)
+            assert_close(rho_prime(2, level), prob_sandwich(level, 1), rel=1e-12)
 
-    def test_rho_zero_rejected(self):
-        with pytest.raises(DomainError):
-            rho(0)
+    def test_rho_zero_level_weighs_nothing(self):
+        assert rho(2, 0) == 0.0
+        assert np.array_equal(rho(3, [0, 0]), [0.0, 0.0])
+
+    def test_closed_forms_bit_for_bit(self):
+        # the engines' weights before games.rho: the same products, in
+        # the same order, so the values must not move by a bit
+        lv = np.arange(200_001).astype(float)
+        pos = lv[1:]
+        assert np.array_equal(rho(2, lv)[1:], 2.0 / ((pos + 2.0) * (pos + 1.0) * pos))
+        assert np.array_equal(rho(3, lv)[1:], 6.0 / ((pos + 3.0) * (pos + 2.0) * (pos + 1.0) * pos))
+        assert np.array_equal(rho_prime(2, lv), 1.0 / ((lv + 2.0) * (lv + 1.0)))
+        assert np.array_equal(rho_prime(3, lv), 2.0 / ((lv + 3.0) * (lv + 2.0) * (lv + 1.0)))
+        assert np.array_equal(rho(2, np.arange(5)), rho(2, np.arange(5.0)))
 
 
 class TestHullArea:

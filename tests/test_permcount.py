@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from geoshapley.errors import DomainError
-from geoshapley.permcount import (
+
+from conftest import assert_close
+from permcount import (
     TripleCounts,
     prob_first_of_A_before_B_or_C,
     prob_first_of_A_exact,
@@ -13,8 +15,6 @@ from geoshapley.permcount import (
     prob_sandwich,
     prob_sandwich_exact,
 )
-
-from conftest import assert_close
 
 
 def enumerate_sandwich(alpha, beta):

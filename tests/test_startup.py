@@ -22,7 +22,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 ENGINES = ("geoshapley.hull", "geoshapley.disk", "geoshapley.axis", "geoshapley.algebra")
-UNNEEDED = ("geoshapley.oracle", "geoshapley.permcount", "numpy.random", "numpy.ma")
+UNNEEDED = ("geoshapley.oracle", "numpy.random", "numpy.ma")
 
 # The probe runs the CLI as `python -m geoshapley.cli` does, then prints
 # the loaded modules.
@@ -103,8 +103,7 @@ class TestCollectorFreeze:
 # Every name the package exported when it imported its modules eagerly,
 # with the module that defines it.
 PUBLIC = {
-    "algebra": ["RationalStepSeries", "convolve", "direct_rational_eval",
-                "multipoint_rational_eval"],
+    "algebra": ["convolve"],
     "axis": ["GridArrangement", "shapley_anchored_bbox", "shapley_anchored_bbox_quadratic",
              "shapley_anchored_rects", "shapley_anchored_rects_quadratic", "shapley_bbox",
              "shapley_bbox_quadratic"],
@@ -115,12 +114,17 @@ PUBLIC = {
               "shapley_anchored_bbox_perimeter", "shapley_area_band",
               "shapley_bbox_perimeter", "shapley_interval_length"],
     "geometry": ["Disk", "convex_hull", "hull_area", "hull_perimeter", "min_enclosing_disk"],
-    "hull": ["all_pair_levels", "rho", "rho_prime", "shapley_hull_area",
+    "hull": ["all_pair_levels", "shapley_hull_area",
              "shapley_hull_area_naive", "shapley_hull_perimeter"],
     "oracle": ["coalition_table", "shapley_by_permutations", "shapley_by_subsets"],
-    "permcount": ["TripleCounts", "prob_first_of_A_before_B_or_C",
-                  "prob_first_of_B_before_A_after_some_C", "prob_sandwich"],
 }
+
+# Names the package no longer exports: the series and probability code
+# that only tests used (now in tests/), and hull's scalar rho and rho'.
+REMOVED = ["RationalStepSeries", "direct_rational_eval", "multipoint_rational_eval",
+           "TripleCounts", "prob_first_of_A_before_B_or_C",
+           "prob_first_of_B_before_A_after_some_C", "prob_sandwich", "permcount",
+           "rho", "rho_prime"]
 
 
 class TestPublicApi:
@@ -161,6 +165,12 @@ class TestPublicApi:
             geoshapley.no_such_name
         with pytest.raises(ImportError):
             exec("from geoshapley import no_such_name", {})
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_removed_name(self, name):
+        assert name not in dir(geoshapley)
+        with pytest.raises(AttributeError, match=name):
+            getattr(geoshapley, name)
 
     def test_submodule_imports(self):
         from geoshapley import cli as cli_mod
