@@ -1,8 +1,8 @@
 """Shapley values for the axis-parallel games: anchored rectangles,
 anchored bounding box, and bounding box.
 
-Everything happens in rank space.  For a point set with distinct
-coordinates in the (closed) positive quadrant, the grid lines through the
+Everything happens in rank space.  For a point set in the closed positive
+quadrant with distinct nonzero coordinates, the grid lines through the
 points and the axes cut the plane into cells c_{i,j} of size w_i x h_j,
 and the per-cell quadrant counts ne/nw/se determine each cell's
 contribution weight:
@@ -37,28 +37,24 @@ from .errors import (
 )
 from .games import ShapleyVector, _airport_values
 
-# Deterministic infinitesimal used to separate projected points that share
-# an axis coordinate in the mixed-quadrant anchored-bbox reduction.  Cells
-# it creates carry ~1e-300 area: exact to double precision, and the limit
-# of the game as the spread vanishes is the degenerate game itself.
-_TIE_EPS = 1e-300
-
 
 class GridArrangement:
     """The cell grid of a point set in the closed positive quadrant.
 
-    Coordinates are stored rank-side: x[0] = 0 < x[1] < ... < x[n] (and the
+    Coordinates are stored rank-side: x[0] = 0 <= x[1] < ... < x[n] (and the
     same for y), widths w[i] = x[i] - x[i-1] (index 0 unused), and Y[i] is
-    the y rank of the point with x rank i.  A single point may sit on each
-    axis (rank 1 with width or height 0); coordinate ties are rejected.
+    the y rank of the point with x rank i.  Points on an axis share the
+    coordinate 0 there and take the lowest ranks in index order, as columns
+    of width 0 or rows of height 0; any other shared coordinate is rejected.
     """
 
     def __init__(self, points):
         pts = geometry.as_points(points)
         if np.any(pts < 0):
             raise DomainError("grid points must lie in the closed positive quadrant")
-        geometry.check_distinct_coords(pts)
         n = pts.shape[0]
+        # zeros become distinct negatives, so only other ties are reported
+        geometry.check_distinct_coords(np.where(pts == 0.0, -1.0 - np.arange(n)[:, None], pts))
         order = np.argsort(pts[:, 0], kind="stable")
         xs = pts[order, 0]
         ys_sorted = np.sort(pts[:, 1], kind="stable")
@@ -558,58 +554,68 @@ def _abb_general(grid):
 
 
 # ---------------------------------------------------------------------------
-# Quadrant splitting and public entry points.
+# Grid solver, sign regions and public entry points.
+
+# The engines of a game's grids: increasing chain, decreasing chain, band,
+# quadratic.  On an increasing chain the anchored bounding box of every
+# coalition coincides with its union of anchored rectangles.
+_AR_ENGINES = (_ar_increasing, _ar_decreasing, _ar_general, _ar_quadratic)
+_ABB_ENGINES = (_ar_increasing, _abb_decreasing, _abb_general, _abb_quadratic)
 
 
-def _values_by_xrank_to_original(grid, vals):
+def _check_method(method):
+    if method not in ("fast", "general", "quadratic"):
+        raise DomainError("method must be 'fast', 'general' or 'quadratic'")
+
+
+def _solve_grid(pts, engines, method):
+    """Values, by input index, of the game of the grid of pts: "quadratic"
+    and "general" force those engines, "fast" takes a chain engine on a
+    chain and the band engine otherwise."""
+    increasing, decreasing, general, quadratic = engines
+    grid = GridArrangement(pts)
+    Y = grid.Y[1:]
+    if method == "quadratic":
+        engine = quadratic
+    elif method == "general":
+        engine = general
+    elif np.array_equal(Y, np.arange(1, grid.n + 1)):
+        engine = increasing
+    elif np.array_equal(Y, np.arange(grid.n, 0, -1)):
+        engine = decreasing
+    else:
+        engine = general
     out = np.empty(grid.n)
-    out[grid.order] = vals[1:]
+    out[grid.order] = engine(grid)[1:]
     return out
 
 
-def _solve_quadrant_ar(pts_q, method):
-    grid = GridArrangement(pts_q)
-    Y = grid.Y[1:]
-    if method == "quadratic":
-        vals = _ar_quadratic(grid)
-    elif method == "general":
-        vals = _ar_general(grid)
-    elif np.array_equal(Y, np.arange(1, grid.n + 1)):
-        vals = _ar_increasing(grid)
-    elif np.array_equal(Y, np.arange(grid.n, 0, -1)):
-        vals = _ar_decreasing(grid)
-    else:
-        vals = _ar_general(grid)
-    return _values_by_xrank_to_original(grid, vals)
+def _solve_regions(pts, engines, method, both):
+    """Sum over the four sign regions around the origin of their games.
 
-
-def _solve_quadrant_abb(pts_q, method):
-    grid = GridArrangement(pts_q)
-    Y = grid.Y[1:]
-    if method == "quadratic":
-        vals = _abb_quadratic(grid)
-    elif method == "general":
-        vals = _abb_general(grid)
-    elif np.array_equal(Y, np.arange(1, grid.n + 1)):
-        # On an increasing chain the anchored bounding box of every
-        # coalition coincides with its union of anchored rectangles.
-        vals = _ar_increasing(grid)
-    elif np.array_equal(Y, np.arange(grid.n, 0, -1)):
-        vals = _abb_decreasing(grid)
-    else:
-        vals = _abb_general(grid)
-    return _values_by_xrank_to_original(grid, vals)
-
-
-def _split_quadrants(pts):
-    if np.any(pts[:, 0] == 0.0) or np.any(pts[:, 1] == 0.0):
+    The region with signs (sx, sy) reflects the points by them.  Its players
+    are the points whose reflected coordinates are both positive (both=True)
+    or at least one positive, projected by max(., 0).  A point behind both
+    axes of a region projects to the origin, which every anchored box
+    holds, so it is a null player there and is left out.  A region whose
+    players have no positive x or no positive y has empty boxes and is
+    skipped.
+    """
+    if np.any(pts == 0.0):
         raise AxisDegeneracyError("point lies exactly on a coordinate axis")
-    sign_x = pts[:, 0] > 0
-    sign_y = pts[:, 1] > 0
-    for sx, sy in ((True, True), (False, True), (False, False), (True, False)):
-        sel = np.nonzero((sign_x == sx) & (sign_y == sy))[0]
-        if sel.size:
-            yield sel, np.abs(pts[sel])
+    values = np.zeros(pts.shape[0])
+    for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+        pos = pts * signs > 0
+        sel = np.nonzero(pos.all(axis=1) if both else pos.any(axis=1))[0]
+        if not pos[sel].any(axis=0).all():
+            continue
+        try:
+            values[sel] += _solve_grid(np.maximum(pts[sel] * signs, 0.0), engines, method)
+        except GeneralPositionError as exc:
+            raise GeneralPositionError(
+                str(exc), offending=[tuple(int(sel[k]) for k in t) for t in exc.offending]
+            ) from None
+    return values
 
 
 def shapley_anchored_rects(points, method="fast"):
@@ -622,17 +628,9 @@ def shapley_anchored_rects(points, method="fast"):
     "general" forces the band engine; "quadratic" runs the per-cell
     baseline.
     """
-    if method not in ("fast", "general", "quadratic"):
-        raise DomainError("method must be 'fast', 'general' or 'quadratic'")
+    _check_method(method)
     pts = geometry.as_points(points)
-    values = np.zeros(pts.shape[0])
-    for sel, sub in _split_quadrants(pts):
-        try:
-            values[sel] = _solve_quadrant_ar(sub, method)
-        except GeneralPositionError as exc:
-            raise GeneralPositionError(
-                str(exc), offending=[tuple(int(sel[k]) for k in t) for t in exc.offending]
-            ) from None
+    values = _solve_regions(pts, _AR_ENGINES, method, both=True)
     from .games import eval_characteristic
 
     total = eval_characteristic("anchored-rects", pts)
@@ -643,43 +641,18 @@ def shapley_anchored_rects_quadratic(points):
     return shapley_anchored_rects(points, method="quadratic")
 
 
-def _spread_axis_ties(coords):
-    """Replace clamped-to-zero coordinates by distinct multiples of a
-    deterministic infinitesimal (ascending in original index order)."""
-    out = coords.copy()
-    zero = np.nonzero(out == 0.0)[0]
-    out[zero] = _TIE_EPS * np.arange(1, zero.size + 1)
-    return out
-
-
 def shapley_anchored_bbox(points, method="fast"):
     """Shapley values of the anchored-bounding-box area game.
 
     The box area splits into the four plane quadrants around the origin;
-    the regional game for a quadrant projects every point onto that
-    closed quadrant (a point behind an axis only pushes the box along
-    the other axis).  Projected points that share an axis coordinate are
-    separated by a deterministic infinitesimal, which leaves every double
-    within 1e-290 of the exact limit.
+    the regional game for a quadrant projects every point with a positive
+    coordinate there onto that closed quadrant (a point behind one axis
+    only pushes the box along the other axis, as a column of width 0 or
+    a row of height 0).  ``method`` is as for shapley_anchored_rects.
     """
-    if method not in ("fast", "general", "quadratic"):
-        raise DomainError("method must be 'fast', 'general' or 'quadratic'")
+    _check_method(method)
     pts = geometry.as_points(points)
-    if np.any(pts[:, 0] == 0.0) or np.any(pts[:, 1] == 0.0):
-        raise AxisDegeneracyError("point lies exactly on a coordinate axis")
-    n = pts.shape[0]
-    values = np.zeros(n)
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            x = sx * pts[:, 0]
-            y = sy * pts[:, 1]
-            if not (np.any(x > 0) and np.any(y > 0)):
-                continue  # region of the box is always empty
-            proj = np.column_stack([
-                _spread_axis_ties(np.maximum(x, 0.0)),
-                _spread_axis_ties(np.maximum(y, 0.0)),
-            ])
-            values += _solve_quadrant_abb(proj, method)
+    values = _solve_regions(pts, _ABB_ENGINES, method, both=False)
     from .games import eval_characteristic
 
     total = eval_characteristic("anchored-bbox-area", pts)
@@ -706,8 +679,7 @@ def shapley_bbox(points, method="fast"):
     zero-width column or row); each band term is an airport game on
     reflected coordinates; the constant splits evenly.
     """
-    if method not in ("fast", "general", "quadratic"):
-        raise DomainError("method must be 'fast', 'general' or 'quadratic'")
+    _check_method(method)
     pts = geometry.as_points(points)
     geometry.check_distinct_coords(pts)
     n = pts.shape[0]
@@ -724,7 +696,7 @@ def shapley_bbox(points, method="fast"):
     for cx, sx in ((xlo, 1.0), (xhi, -1.0)):
         for cy, sy in ((ylo, 1.0), (yhi, -1.0)):
             sub = np.column_stack([sx * (x - cx), sy * (y - cy)])
-            values += _solve_quadrant_abb(sub, method)
+            values += _solve_grid(sub, _ABB_ENGINES, method)
     ox = np.argsort(x)
     oy = np.argsort(y)
     values -= H * _airport_values(xhi - x, ox[::-1])

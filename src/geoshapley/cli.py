@@ -42,16 +42,6 @@ class ParseError(Exception):
 
 
 @dataclass
-class RunConfig:
-    game: str
-    algorithm: str = "auto"
-    input_path: str = "-"
-    output_path: str = "-"
-    output_format: str = "json"
-    timing: bool = True
-
-
-@dataclass
 class ResultRecord:
     game: str
     n: int
@@ -397,23 +387,23 @@ def write_text(path, pieces):
                 fh.write(piece)
 
 
-def cmd_compute(cfg: RunConfig):
-    pts = read_points(cfg.input_path)
-    solver = solver_for(cfg.game, cfg.algorithm)
+def cmd_compute(args):
+    pts = read_points(args.input)
+    solver = solver_for(args.game, args.algorithm)
     t0 = time.perf_counter()
     sv = solver(pts)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     rec = ResultRecord(
-        game=cfg.game,
+        game=args.game,
         n=pts.shape[0],
-        algorithm=cfg.algorithm,
+        algorithm=args.algorithm,
         points=pts,
         values=sv.values,
         total=sv.game_total,
         efficiency_residual=sv.efficiency_residual,
-        wall_time_ms=elapsed_ms if cfg.timing else 0.0,
+        wall_time_ms=0.0 if args.no_timing else elapsed_ms,
     )
-    write_text(cfg.output_path, record_pieces(rec, cfg.output_format))
+    write_text(args.output, record_pieces(rec, args.format))
     return EXIT_OK
 
 
@@ -556,7 +546,6 @@ def cmd_bench(args):
     solvers, are timed and fitted as two series."""
     games_list = _games_from_arg(args.games)
     sizes_of = {g: _bench_sizes(args.sizes or _DEFAULT_BENCH_SIZES[g]) for g in games_list}
-    rng = np.random.default_rng(args.seed)
     kinds = [(None, None)]
     if args.chain:
         kinds = [("increasing-chain", True), ("decreasing-chain", False)]
@@ -568,6 +557,9 @@ def cmd_bench(args):
             label = f"{game}:{kind}" if kind else game
             ts = []
             for n in ns:
+                # a fresh generator per size, so that every size of a series
+                # draws the same input shape (positive quadrant or plane)
+                rng = np.random.default_rng(args.seed)
                 if kind is None:
                     pts = random_instance(game, rng, n)
                 else:
@@ -638,15 +630,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "compute":
-            cfg = RunConfig(
-                game=args.game,
-                algorithm=args.algorithm,
-                input_path=args.input,
-                output_path=args.output,
-                output_format=args.format,
-                timing=not args.no_timing,
-            )
-            return cmd_compute(cfg)
+            return cmd_compute(args)
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_bench(args)

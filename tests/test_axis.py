@@ -48,6 +48,14 @@ class TestGridArrangement:
             GridArrangement([(1, 1), (2, 1), (1, 3)])
         assert exc.value.offending == ((0, 2), (0, 1))
 
+    def test_axis_points_take_lowest_ranks(self):
+        g = GridArrangement([(0, 1), (0, 2), (1, 3)])
+        assert list(g.x_rank) == [1, 2, 3]
+        assert g.w[1] == g.w[2] == 0 and g.w[3] == 1
+        g = GridArrangement([(3, 0), (1, 2), (2, 0)])
+        assert list(g.y_rank) == [1, 3, 2]
+        assert g.h[1] == g.h[2] == 0 and g.h[3] == 2
+
     def test_decreasing_chain_closed_form(self, rng):
         n = 12
         g = GridArrangement(make_chain(rng, n, inc=False))
@@ -229,6 +237,52 @@ class TestGeneralPosition:
             with pytest.raises(GeneralPositionError) as exc:
                 solver([(1, 2), (1, 3), (2, 5)])
             assert exc.value.offending == ((0, 1),), solver.__name__
+
+    def test_region_tie_named_by_input_index(self):
+        # (-1, -1) is a null player of the north-east region, whose own
+        # points (1, 2) and (1, 3) are its local pair (0, 1)
+        with pytest.raises(GeneralPositionError) as exc:
+            shapley_anchored_bbox([(-1, -1), (1, 2), (1, 3)])
+        assert exc.value.offending == ((1, 2),)
+
+
+SOLVERS = {
+    "anchored-rects": shapley_anchored_rects,
+    "anchored-bbox": shapley_anchored_bbox,
+    "bbox": shapley_bbox,
+}
+
+
+class TestMetamorphic:
+    """Exact effects of reflections, the x-y swap, scaling, translation
+    (bbox only) and reordering the players, each to 1e-9 of max |value|.
+    The reflections and the swap put every sign region at every position
+    of the region loop."""
+
+    @pytest.mark.parametrize("method", ["fast", "quadratic"])
+    @pytest.mark.parametrize("shape", ["plane-9", "plane-200", "chain"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("game", list(SOLVERS))
+    def test_transforms(self, game, seed, shape, method):
+        rng = np.random.default_rng(seed)
+        if shape == "chain":
+            pts = make_chain(rng, 200, inc=seed % 2 == 0)
+        else:
+            pts = rng.uniform(-5.0, 5.0, (int(shape[6:]), 2))
+
+        def values(p):
+            return SOLVERS[game](p, method=method).values
+
+        base = values(pts)
+        tol = 1e-9 * np.max(np.abs(base))
+        for same in (pts * [-1.0, 1.0], pts * [1.0, -1.0], pts[:, ::-1]):
+            assert_close(values(same), base, rel=0.0, abs_floor=tol)
+        for f in (1e6, 1e-6):
+            assert_close(values(pts * f), base * f**2, rel=0.0, abs_floor=tol * f**2)
+        if game == "bbox":
+            assert_close(values(pts + [31.5, -17.25]), base, rel=0.0, abs_floor=tol)
+        perm = rng.permutation(len(pts))
+        assert_close(values(pts[perm]), base[perm], rel=0.0, abs_floor=tol)
 
 
 def random_tasks(rng, shapes):

@@ -186,7 +186,8 @@ DEGENERATE = [
     ("hull-perimeter", [(0, 0), (1000, 0), (2000, 1.5e-9), (500, 700)], (0, 1, 2)),
     ("disk-area", [(0, 0), (2, 0), (1, 1)], (0, 1, 2)),
     ("disk-perimeter", on_circle([0.3, 1.4, 2.9, 4.4]), (0, 1, 2, 3)),
-    # The tie sits in the south-east quadrant, solved after the others.
+    # The tie sits in the south-east quadrant, whose region-local pair
+    # (0, 1) names input points (2, 3).
     ("anchored-rects", [(-1, 2), (2, 1), (3, -4), (5, -4)], (2, 3)),
     ("anchored-bbox-area", [(1, 2), (1, 3), (2, 5)], (0, 1)),
     ("bbox-area", [(2, 1), (3, 4), (5, 1)], (0, 2)),
@@ -1189,6 +1190,30 @@ class TestBench:
             assert [r[2] for r in rows] == ["64", "128", "256"]
             assert sum(line.startswith(f"# slope,{label},fast,") for line in lines) == 1
         assert len(lines) == 1 + 4 * len(labels)
+
+    @pytest.mark.parametrize("game", ["anchored-rects", "anchored-bbox-area"])
+    @pytest.mark.parametrize("seed, positive", [(0, True), (1, False)])
+    def test_one_input_shape_per_series(self, capsys, monkeypatch, game, seed, positive):
+        """The anchored games draw positive-quadrant or plane input; every
+        size of a series draws the same one, so its slope fits one
+        workload.  Seed 0 draws positive input and seed 1 plane input."""
+        shapes = []
+        solver_for = cli.solver_for
+
+        def recorded(game, algorithm):
+            solver = solver_for(game, algorithm)
+
+            def solve(pts):
+                shapes.append(bool(np.all(pts > 0)))
+                return solver(pts)
+
+            return solve
+
+        monkeypatch.setattr(cli, "solver_for", recorded)
+        argv = ["bench", "--games", game, "--sizes", "64,128,256", "--seed", str(seed)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert shapes == [positive] * 10
 
     def test_oracle_subset_exponential_family(self, capsys):
         code, out, _ = run(
