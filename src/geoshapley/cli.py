@@ -519,6 +519,9 @@ _DEFAULT_BENCH_SIZES = {
     "anchored-bbox-perimeter": "65536,131072,262144",
 }
 
+# The oracles' series, inside their size guards, for any game.
+_ORACLE_BENCH_SIZES = {"oracle-perm": "7,8,9,10", "oracle-subset": "16,18,20,22"}
+
 
 def _bench_sizes(arg):
     sizes = []
@@ -545,7 +548,10 @@ def cmd_bench(args):
     --chain, increasing and decreasing chains, which take different
     solvers, are timed and fitted as two series."""
     games_list = _games_from_arg(args.games)
-    sizes_of = {g: _bench_sizes(args.sizes or _DEFAULT_BENCH_SIZES[g]) for g in games_list}
+    default = _ORACLE_BENCH_SIZES.get(args.algorithm)
+    sizes_of = {
+        g: _bench_sizes(args.sizes or default or _DEFAULT_BENCH_SIZES[g]) for g in games_list
+    }
     kinds = [(None, None)]
     if args.chain:
         kinds = [("increasing-chain", True), ("decreasing-chain", False)]

@@ -6,23 +6,37 @@ formula.  Both read coalition values from a dense 2^n table keyed by
 bitmask; a caller that runs both on one instance can build the table once
 and pass it to each.
 
-The table is built with array operations over blocks of masks, one formula
-per game family, and calls no engine code:
+The table is built with array operations, one formula per game family,
+and calls no engine code:
 
-- box and line games: per-coordinate min and max by doubling over the bits,
-  then the game's float expression (bit-identical to one evaluation per set);
+- box and line games: per-coordinate min and max by doubling over the bits
+  of each block of masks, then the game's float expression (bit-identical
+  to one evaluation per set);
 - hull games: (i, j) is a ccw edge of S iff no other member of S lies
   strictly right of i->j, or on its line outside the open segment; v sums
   the shoelace terms (area) or the lengths (perimeter) of the edges;
 - disk games: v is the measure of the largest basis disk (a pair, or a
   non-obtuse triple) with B in S and S inside the disk, which is MED(S);
 - anchored-rects: per quadrant, a staircase over the members sorted by |x|.
+
+A hull edge or disk basis is one row (need, cover): it holds on exactly the
+coalitions need | s, s any subset of the points outside cover, and its term
+is scattered into those masks alone (interval scatter), so the work is the
+number of (coalition, row) hits rather than rows times 2^n.
+
+The permutation oracle walks the orders of itertools.permutations through
+a cached step table of every order of 8 players, with the player and the
+coalitions before and after each step as uint8; its sums are those of a
+loop over the orders, one head's block of orders at a time.  The subset
+formula runs over blocks of 2^16 masks, and its sums are those of one
+np.sum over all masks.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -33,17 +47,17 @@ from .geometry import as_points
 PERMUTATION_LIMIT = 10
 SUBSET_LIMIT = 22
 
-_PERM_CHUNK = 200_000
-
-# Orders are enumerated as a head from itertools followed by every order of
-# the remaining (at most) _TAIL players, taken from one cached table.
+# Orders are walked as a head from itertools followed by every order of the
+# remaining (at most) _TAIL players, read from one cached step table.
 _TAIL = 8
 
-# Masks per block of the coalition table (a power of two), and hull edges or
-# disk bases tested against one block at a time: the working set stays
-# O(_BLOCK * _ROWS) up to n = SUBSET_LIMIT.
+# Masks per block of the box and staircase tables, and of the subset
+# formula (powers of two).
 _BLOCK = 1 << 12
-_ROWS = 128
+_SUBSET_BLOCK = 1 << 16
+# Entries per index array when hull edges or disk bases are scattered into
+# their coalitions (a power of two).
+_SCATTER = 1 << 16
 
 # Three points are collinear when |cross| <= _FLAT_TOL * (longest side)^2.
 _FLAT_TOL = 1e-12
@@ -54,45 +68,24 @@ _INSIDE_TOL = 1e-9
 
 
 @functools.cache
-def _lex_orders(m):
-    """Every order of range(m), lexicographic, as a read-only (m!, m) array."""
-    if m == 0:
-        out = np.zeros((1, 0), dtype=np.int64)
-    else:
-        sub = _lex_orders(m - 1)
-        out = np.empty((m, sub.shape[0], m), dtype=np.int64)
-        for first in range(m):
-            out[first, :, 0] = first
-            out[first, :, 1:] = np.delete(np.arange(m), first)[sub]
-        out = out.reshape(-1, m)
-    out.flags.writeable = False
-    return out
-
-
-def _order_chunks(n):
-    """The rows of itertools.permutations(range(n)), in the same order, as
-    int64 arrays of _PERM_CHUNK rows (the last one may be shorter)."""
-    m = min(n, _TAIL)
-    tail = _lex_orders(m)
-    if m == n:
-        for start in range(0, tail.shape[0], _PERM_CHUNK):
-            yield tail[start : start + _PERM_CHUNK]
-        return
-    pending, size = [], 0
-    for head in itertools.permutations(range(n), n - m):
-        rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int64)
-        block = np.empty((tail.shape[0], n), dtype=np.int64)
-        block[:, : n - m] = head
-        block[:, n - m :] = rest[tail]
-        pending.append(block)
-        size += block.shape[0]
-        if size >= _PERM_CHUNK:
-            rows = np.concatenate(pending)
-            cut = size - size % _PERM_CHUNK
-            yield from np.split(rows[:cut], cut // _PERM_CHUNK)
-            pending, size = [rows[cut:]], size - cut
-    if size:
-        yield np.concatenate(pending)
+def _steps():
+    """Every order of range(_TAIL), lexicographic, as read-only uint8 arrays
+    (players, masks): players[k] is the k-th player of each order and
+    masks[k] the coalition before it, so masks[k + 1] is the one after."""
+    players = np.zeros((0, 1), dtype=np.uint8)  # the one order of no players
+    for m in range(1, _TAIL + 1):
+        # the orders of range(m) with `first` first, then the others in order
+        others = np.arange(m, dtype=np.uint8)
+        firsts = np.zeros((1, players.shape[1]), dtype=np.uint8)
+        players = np.concatenate(
+            [np.vstack((firsts + first, np.delete(others, first)[players])) for first in range(m)],
+            axis=1,
+        )
+    masks = np.zeros((_TAIL + 1, players.shape[1]), dtype=np.uint8)
+    for k in range(_TAIL):
+        masks[k + 1] = masks[k] | (np.uint8(1) << players[k])
+    players.flags.writeable = masks.flags.writeable = False
+    return players, masks
 
 
 def _anchored_width(lo, hi):
@@ -139,16 +132,47 @@ def _box_block(value, pts, start, size):
     return value(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], band)
 
 
-def _row_block(cover, need, value, ufunc, start, size):
-    """ufunc over the rows r with mask & cover[r] == need[r] of value[r]
-    (0 where no row holds), for masks start..start+size-1."""
-    masks = np.arange(start, start + size, dtype=np.int64)
-    out = np.zeros(size)
-    for r in range(0, need.size, _ROWS):
-        rows = slice(r, r + _ROWS)
-        hit = (masks[:, None] & cover[rows]) == need[rows]
-        ufunc(out, ufunc.reduce(np.where(hit, value[rows], 0.0), axis=1), out=out)
+def _deposit(base, bits):
+    """base[r] | every OR of a subset of bits[r], as a (rows, 2^f) array
+    whose column s takes the bits named by the set bits of s."""
+    out = np.empty((base.size, 1 << bits.shape[1]), dtype=np.int64)
+    out[:, 0] = base
+    for b in range(bits.shape[1]):
+        s = 1 << b
+        np.bitwise_or(out[:, :s], bits[:, b : b + 1], out=out[:, s : 2 * s])
     return out
+
+
+def _scatter(n, cover, need, value, ufunc):
+    """The table of ufunc over the rows r with mask & cover[r] == need[r]
+    of value[r] (0 where no row holds).
+
+    Row r holds on need[r] | s for every subset s of the f bits outside
+    cover[r].  Rows with the same f are deposited together, at most
+    _SCATTER entries per index array; a row with more masks than that is
+    deposited in pieces.  Each mask meets its rows in order of (f, r),
+    whatever _SCATTER is.
+    """
+    table = np.zeros(1 << n)
+    free = np.bitwise_count(~cover & ((1 << n) - 1))
+    order = np.argsort(free, kind="stable")  # rows by f, then by r
+    outside = (cover[order, None] >> np.arange(n)) & 1 == 0
+    bits = np.int64(1) << np.nonzero(outside)[1]  # the free bits of each row in turn
+    limit = _SCATTER.bit_length() - 1
+    for f, count in enumerate(np.bincount(free).tolist()):
+        rows, order = order[:count], order[count:]
+        group, bits = bits[: count * f].reshape(count, f), bits[count * f :]
+        low = min(f, limit)
+        step = 1 << (limit - low)
+        for r in range(0, count, step):
+            block = slice(r, r + step)
+            # flat masks and weights: ufunc.at is about ten times slower on 2-D
+            masks = _deposit(need[rows[block]], group[block, :low]).ravel()
+            weight = np.repeat(value[rows[block]], 1 << low)
+            # past _SCATTER masks a block is one row: walk its other bits
+            for high in _deposit(np.zeros(1, dtype=np.int64), group[block, low:])[0]:
+                ufunc.at(table, masks | high, weight)
+    return table
 
 
 def _hull_edges(game, pts):
@@ -251,10 +275,6 @@ def _anchored_stairs(pts):
 
 def _block_values(game, pts):
     """A function (start, size) -> v for masks start..start+size-1."""
-    if game in ("hull-area", "hull-perimeter"):
-        return functools.partial(_row_block, *_hull_edges(game, pts), np.add)
-    if game in ("disk-area", "disk-perimeter"):
-        return functools.partial(_row_block, *_disk_bases(game, pts), np.maximum)
     if game == "anchored-rects":
         return functools.partial(_staircase_block, _anchored_stairs(pts))
     if game == "airport" and np.any(pts[:, 0] <= 0.0):
@@ -271,6 +291,10 @@ def coalition_table(game, points):
         raise SizeLimitError(
             f"2^{n} coalition table exceeds the 2^{SUBSET_LIMIT} guard"
         )
+    if game in ("hull-area", "hull-perimeter"):
+        return _scatter(n, *_hull_edges(game, pts), np.add)
+    if game in ("disk-area", "disk-perimeter"):
+        return _scatter(n, *_disk_bases(game, pts), np.maximum)
     block = _block_values(game, pts)
     size = min(1 << n, _BLOCK)
     table = np.empty(1 << n)
@@ -286,7 +310,14 @@ def _player_count(game, points):
 
 
 def shapley_by_permutations(game, points, table=None):
-    """Exact average of marginal contributions over all n! orders."""
+    """Exact average of marginal contributions over all n! orders.
+
+    The orders are those of itertools.permutations(range(n)), in its order:
+    each head of n - m players, m = min(n, _TAIL), is followed by every
+    order of the m players left, read from the step table through a
+    256-entry table of their coalition values.  The marginals are summed
+    one position at a time over each head's m! orders.
+    """
     n = _player_count(game, points)
     if n > PERMUTATION_LIMIT:
         raise SizeLimitError(
@@ -294,18 +325,29 @@ def shapley_by_permutations(game, points, table=None):
         )
     if table is None:
         table = coalition_table(game, points)
+    players, masks = _steps()
+    m = min(n, _TAIL)
+    lead = _TAIL - m  # step-table players 0..lead-1 stand first in its first m! orders
+    rows = math.factorial(m)
+    players, masks = players[lead:, :rows], masks[lead:, :rows]
     phi = np.zeros(n)
-    total = 0
-    for chunk in _order_chunks(n):
-        total += chunk.shape[0]
-        mask = np.zeros(chunk.shape[0], dtype=np.int64)
-        for k in range(n):
-            pid = chunk[:, k]
-            new_mask = mask | (np.int64(1) << pid)
-            delta = table[new_mask] - table[mask]
-            phi += np.bincount(pid, weights=delta, minlength=n)
-            mask = new_mask
-    phi /= total
+    for head in itertools.permutations(range(n), n - m):
+        rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int64)
+        coalition = 0
+        for p in head:
+            # one marginal, added once per order as the loop over orders would
+            delta = table[coalition | 1 << p] - table[coalition]
+            phi[p] += np.full(rows, delta).cumsum()[-1]
+            coalition |= 1 << p
+        local = _deposit(np.array([coalition]), (np.int64(1) << rest)[None, :])[0]
+        values = np.zeros(1 << _TAIL)
+        values[(1 << lead) - 1 :: 1 << lead] = table[local]
+        before = values[masks[0].astype(np.intp)]
+        for k in range(m):
+            after = values[masks[k + 1].astype(np.intp)]
+            phi[rest] += np.bincount(players[k], after - before, minlength=_TAIL)[lead:]
+            before = after
+    phi /= math.factorial(n)
     return ShapleyVector(phi, float(table[-1]), game)
 
 
@@ -313,7 +355,10 @@ def shapley_by_subsets(game, points, table=None):
     """Weighted subset-sum formula.
 
     The weights |S|! (n-|S|-1)! / n! are built by a running product of
-    ratios s/(n-s), so nothing overflows past n = 20.
+    ratios s/(n-s), so nothing overflows past n = 20.  Masks are taken
+    _SUBSET_BLOCK at a time.  Each player's block sums are added pairwise,
+    as np.sum adds the halves of an array of more than 128 elements, so the
+    result is that of one np.sum over all masks.
     """
     n = _player_count(game, points)
     if n > SUBSET_LIMIT:
@@ -321,17 +366,28 @@ def shapley_by_subsets(game, points, table=None):
     if table is None:
         table = coalition_table(game, points)
 
-    weights = np.empty(n)
+    weights = np.zeros(n + 1)  # weights[n] weighs the full set, which lacks no one
     weights[0] = 1.0 / n
     for s in range(1, n):
         weights[s] = weights[s - 1] * s / (n - s)
 
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    phi = np.zeros(n)
-    for p in range(n):
-        bit = np.int64(1) << p
-        absent = masks[(masks & bit) == 0]
-        s = sizes[(masks & bit) == 0]
-        phi[p] = float(np.sum(weights[s] * (table[absent | bit] - table[absent])))
-    return ShapleyVector(phi, float(table[-1]), game)
+    size = min(1 << n, _SUBSET_BLOCK)
+    low = size.bit_length() - 1
+    parts = np.zeros((n, (1 << n) // size))
+    for b, start in enumerate(range(0, 1 << n, size)):
+        values = table[start : start + size]
+        weight = weights[np.bitwise_count(np.arange(start, start + size))]
+        # a player below bit `low` is absent from the first half of each
+        # run of 2^(p+1) masks; one above it is absent from the whole block
+        # or from none of it
+        for p in range(low):
+            pairs = values.reshape(-1, 2, 1 << p)
+            gain = weight.reshape(-1, 2, 1 << p)[:, 0] * (pairs[:, 1] - pairs[:, 0])
+            parts[p, b] = np.sum(gain)
+        for p in range(low, n):
+            if not start >> p & 1:
+                present = table[start + (1 << p) : start + (1 << p) + size]
+                parts[p, b] = np.sum(weight * (present - values))
+    while parts.shape[1] > 1:
+        parts = parts[:, 0::2] + parts[:, 1::2]
+    return ShapleyVector(parts[:, 0], float(table[-1]), game)

@@ -905,15 +905,16 @@ def test_non_finite_coordinates_exit_2(tmp_path, capsys, game, text):
 # `verify --games all --nmin 3 --nmax 6 --instances 2 --seed 7`.  The box
 # and line lines are those of the per-subset coalition table, which the
 # batched table matches bit for bit.  The hull, disk and anchored-rects lines
-# are those of the batched table, whose sums run in another order.  The disk
-# naive lines are those of the direct path summed per block of bases.
+# are those of the batched table, whose sums run in another order; the hull
+# lines are those of its edge terms scattered in order of free points.  The
+# disk naive lines are those of the direct path summed per block of bases.
 _GOLDEN_VERIFY = """\
 hull-area fast max_discrepancy=1.598e-15 PASS
 hull-area naive max_discrepancy=1.598e-15 PASS
 hull-area oracle-subset max_discrepancy=1.598e-15 PASS
-hull-perimeter fast max_discrepancy=1.703e-15 PASS
-hull-perimeter naive max_discrepancy=2.012e-15 PASS
-hull-perimeter oracle-subset max_discrepancy=1.858e-15 PASS
+hull-perimeter fast max_discrepancy=1.393e-15 PASS
+hull-perimeter naive max_discrepancy=1.703e-15 PASS
+hull-perimeter oracle-subset max_discrepancy=1.548e-15 PASS
 disk-area fast max_discrepancy=1.290e-15 PASS
 disk-area naive max_discrepancy=1.344e-15 PASS
 disk-area oracle-subset max_discrepancy=1.286e-15 PASS
@@ -1228,6 +1229,22 @@ class TestBench:
         )
         assert code == 0
         assert "# slope,interval-length,oracle-subset," in out
+
+    @pytest.mark.parametrize(
+        "game, algorithm, sizes",
+        [
+            ("disk-area", "oracle-perm", [7, 8, 9, 10]),
+            ("hull-area", "oracle-subset", [16, 18, 20, 22]),
+        ],
+        ids=["oracle-perm", "oracle-subset"],
+    )
+    def test_oracle_default_sizes(self, capsys, game, algorithm, sizes):
+        """Each oracle has its own default series, inside its size guard."""
+        code, out, err = run(capsys, "bench", "--games", game, "--algorithm", algorithm)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines() if line.startswith(game + ",")]
+        assert [int(r[2]) for r in rows] == sizes
+        assert f"# slope,{game},{algorithm}," in out
 
     @pytest.mark.parametrize("sizes", ["10,abc", "-5", "0", "10,2.5", "10,,20"])
     def test_bad_sizes_rejected(self, capsys, monkeypatch, sizes):

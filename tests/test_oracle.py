@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestSubsetOracle:
         with pytest.raises(SizeLimitError):
             shapley_by_subsets("bbox-area", pts)
 
+    @pytest.mark.parametrize("block", [256, 4096])
+    def test_subset_block_size_does_not_change_bits(self, rng, monkeypatch, block):
+        """Block sums added pairwise give np.sum over all masks at once."""
+        pts = random_plane_points(rng, 14)
+        table = coalition_table("hull-area", pts)
+        want = shapley_by_subsets("hull-area", pts, table=table).values
+        monkeypatch.setattr(oracle, "_SUBSET_BLOCK", block)
+        assert np.array_equal(shapley_by_subsets("hull-area", pts, table=table).values, want)
+
 
 class TestCrossOracle:
     def test_weight_identity(self):
@@ -107,21 +117,32 @@ class TestCrossOracle:
 
 
 def _itertools_chunks(n):
-    """itertools.permutations(range(n)) cut into _PERM_CHUNK-row arrays."""
+    """itertools.permutations(range(n)) cut into arrays of m! rows, m =
+    min(n, 8): one per head of n - m players, the block the permutation
+    oracle sums each position over."""
+    rows = math.factorial(min(n, oracle._TAIL))
     perms = itertools.permutations(range(n))
     while True:
-        chunk = np.array(list(itertools.islice(perms, oracle._PERM_CHUNK)), dtype=np.int64)
+        chunk = np.array(list(itertools.islice(perms, rows)), dtype=np.int64)
         if chunk.size == 0:
             return
         yield chunk
 
 
-def _assert_same_chunks(n):
-    got = list(oracle._order_chunks(n))
-    want = list(_itertools_chunks(n))
-    assert [c.shape for c in got] == [c.shape for c in want]
-    for a, b in zip(got, want):
-        assert a.dtype == np.int64 and np.array_equal(a, b)
+def _step_table_chunks(n):
+    """The orders the permutation oracle reads from the step table, head by
+    head: the head, then the players left in the order of the table's
+    first m! orders over its last m players."""
+    players, _ = oracle._steps()
+    m = min(n, oracle._TAIL)
+    lead = oracle._TAIL - m
+    tail = players[lead:, : math.factorial(m)].T.astype(np.int64) - lead
+    for head in itertools.permutations(range(n), n - m):
+        rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int64)
+        block = np.empty((tail.shape[0], n), dtype=np.int64)
+        block[:, : n - m] = head
+        block[:, n - m :] = rest[tail]
+        yield block
 
 
 def _shapley_by_permutations_itertools(table, n):
@@ -143,29 +164,60 @@ def _shapley_by_permutations_itertools(table, n):
 class TestOrderChunks:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_same_rows_order_and_boundaries(self, n):
-        _assert_same_chunks(n)
+        """The step table, head by head, gives the rows of itertools in its
+        order, one head per chunk."""
+        count = 0
+        for got, want in itertools.zip_longest(_step_table_chunks(n), _itertools_chunks(n)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+            count += got.shape[0]
+        assert count == math.factorial(n)
 
-    @pytest.mark.parametrize("chunk", [1, 5, 7, 120, 719, 5040])
-    def test_boundaries_inside_and_across_blocks(self, monkeypatch, chunk):
-        monkeypatch.setattr(oracle, "_PERM_CHUNK", chunk)
-        for n in range(1, 8):
-            _assert_same_chunks(n)
-        monkeypatch.setattr(oracle, "_TAIL", 3)
-        for n in range(1, 8):
-            _assert_same_chunks(n)
+    def test_step_masks_follow_players(self):
+        players, masks = oracle._steps()
+        assert players.dtype == masks.dtype == np.uint8
+        assert not masks[0].any() and np.all(masks[-1] == 255)
+        for k in range(oracle._TAIL):
+            assert np.array_equal(masks[k + 1], masks[k] | (np.uint8(1) << players[k]))
 
     def test_lex_orders_read_only(self):
-        with pytest.raises(ValueError):
-            oracle._lex_orders(4)[0, 0] = 1
+        for steps in oracle._steps():
+            with pytest.raises(ValueError):
+                steps[0, 0] = 1
 
-    @pytest.mark.parametrize("game", ["hull-area", "disk-area", "bbox-area"])
-    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize(
+        "n, game",
+        [(n, game) for n in range(3, 10) for game in ("bbox-area", "disk-area", "hull-area")]
+        + [(10, "bbox-area")],
+    )
     def test_bit_identical_to_itertools_loop(self, rng, game, n):
         pts = random_plane_points(rng, n)
         table = coalition_table(game, pts)
         want = _shapley_by_permutations_itertools(table, n)
         assert np.array_equal(shapley_by_permutations(game, pts, table=table).values, want)
         assert np.array_equal(shapley_by_permutations(game, pts).values, want)
+
+
+class TestOracleMemory:
+    """Neither oracle holds an array over all orders or all masks."""
+
+    def _peak(self, fn, *args, **kwargs):
+        fn(*args, **kwargs)  # builds the cached step table outside the trace
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_permutations_at_10(self, rng):
+        pts = random_plane_points(rng, 10)
+        table = coalition_table("hull-area", pts)
+        assert self._peak(shapley_by_permutations, "hull-area", pts, table=table) < 8e6
+
+    def test_subsets_at_20(self, rng):
+        pts = random_plane_points(rng, 20)
+        table = coalition_table("bbox-area", pts)
+        assert self._peak(shapley_by_subsets, "bbox-area", pts, table=table) < 8e6
 
 
 # Games whose batched table repeats the per-subset float expression on the
@@ -237,4 +289,13 @@ class TestBatchedTable:
         want = {game: coalition_table(game, pts) for game in GAME_KINDS}
         monkeypatch.setattr(oracle, "_BLOCK", block)
         for game in GAME_KINDS:
+            assert np.array_equal(coalition_table(game, pts), want[game]), game
+
+    @pytest.mark.parametrize("scatter", [1, 4, 64])
+    def test_scatter_size_does_not_change_bits(self, rng, monkeypatch, scatter):
+        pts = random_plane_points(rng, 12)
+        games = ("hull-area", "hull-perimeter", "disk-area", "disk-perimeter")
+        want = {game: coalition_table(game, pts) for game in games}
+        monkeypatch.setattr(oracle, "_SCATTER", scatter)
+        for game in games:
             assert np.array_equal(coalition_table(game, pts), want[game]), game
