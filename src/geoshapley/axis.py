@@ -67,9 +67,6 @@ class GridArrangement:
         yrank[np.argsort(pts[:, 1], kind="stable")] = np.arange(1, n + 1)
         self.Y = np.concatenate([[0], yrank[order]])  # 1-based by x rank
         self.order = order  # original index of the point with x rank i+1
-        self.x_rank = np.empty(n, dtype=np.int64)
-        self.x_rank[order] = np.arange(1, n + 1)
-        self.y_rank = yrank
 
 
 # ---------------------------------------------------------------------------

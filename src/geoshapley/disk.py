@@ -13,6 +13,12 @@ parameter, which yields every triple level and every per-query
 prefix sum for that pencil in one sort.  Each triple appears in three
 pencils, hence the final division by three.  The pairs (i, j), j > i, of
 one first endpoint i are handled together, as the rows of one array pass.
+
+Degenerate input is rejected under the one rule of ``geometry`` (see
+``DEGENERACY_TOL``): a point on the diametral circle of a pair, and a
+cocircular tie in a pencil that involves a basis triple.  A right triangle
+needs no check of its own, since its right-angled corner lies on the
+diametral circle of the other two points.
 """
 
 from __future__ import annotations
@@ -88,9 +94,9 @@ def _sweeps(pts):
     cross: outside iff beyond the segment.
 
     Degeneracies raise GeneralPositionError in a fixed order: every pair
-    check (diametral circle) first, then the pencils in (i, j) order, each
-    checking right triangles before cocircular ties.  A pencil error is
-    therefore held back until the remaining pair checks have passed.
+    check (diametral circle) first, then the cocircular ties of the pencils
+    in (i, j) order.  A pencil error is therefore held back until the
+    remaining pair checks have passed.
     """
     n = pts.shape[0]
     pending = None
@@ -116,16 +122,18 @@ def _pair_rows(pts, i, js, seg, r2):
     """Rows (i, j) for j in js, with a column per point: its power with
     respect to the diametral circle of (i, j), its signed normal offset
     g = 2 (r - m).u, and whether it is i or j.  A point on a diametral
-    circle is rejected before g is formed."""
+    circle is rejected before g is formed: the power |r - m|^2 - |seg|^2 / 4
+    equals (r - pts[i]).(r - pts[j]), degenerate at most DEGENERACY_TOL
+    times |r - m|^2 + |seg|^2 / 4."""
     m = 0.5 * (pts[i] + pts[js])
     dx = pts[None, :, 0] - m[:, 0, None]
     dy = pts[None, :, 1] - m[:, 1, None]
-    num = dx * dx + dy * dy - r2[:, None]
+    dist2 = dx * dx + dy * dy
+    num = dist2 - r2[:, None]
     ends = np.zeros(num.shape, dtype=bool)
     ends[:, i] = True
     ends[np.arange(js.size), js] = True
-    tol = DEGENERACY_TOL * np.maximum(1.0, r2)[:, None]
-    on_boundary = (np.abs(num) <= tol) & ~ends
+    on_boundary = (np.abs(num) <= DEGENERACY_TOL * (dist2 + r2[:, None])) & ~ends
     if np.any(on_boundary):
         k, s = np.argwhere(on_boundary)[0]
         raise GeneralPositionError(
@@ -152,31 +160,25 @@ def _pencils(pts, i, js, seg, r2, num, g, ends):
 
     side = np.sign(sort(g)).astype(np.int8)
     t = np.where(side != 0, sort(t), 0.0)
-    right, acute = _corners(pts, i, seg, r2, live)
-    acute = sort(acute)
+    radius = np.sqrt(t * t + r2[:, None])
+    # Acute (i, j, r) from the signs at its corners: seg.a at i, with
+    # a = r - pts[i]; |seg|^2 - seg.a at j; the power num at r.  The pair
+    # checks have bounded each away from zero.
+    at_i = seg @ (pts - pts[i]).T
+    acute = sort(live & (at_i > 0) & (4.0 * r2[:, None] - at_i > 0) & (num > 0))
 
-    # Parameter ties between sweep neighbours, one of them a basis triple.
+    # Parameter ties between sweep neighbours, one of them a basis triple:
+    # a gap in t at most DEGENERACY_TOL times the larger of the two radii.
     # Ties between two obtuse triples change no level or sum and pass
     # (near-collinear points give huge, closely spaced parameters).
-    abs_t = np.abs(t)
-    gap_tol = DEGENERACY_TOL * np.maximum(1.0, np.maximum(abs_t[:, 1:], abs_t[:, :-1]))
     tie = (
         (side[:, 1:] != 0)
         & (side[:, :-1] != 0)
         & (acute[:, 1:] | acute[:, :-1])
-        & (np.diff(t, axis=1) <= gap_tol)
+        & (np.diff(t, axis=1) <= DEGENERACY_TOL * np.maximum(radius[:, 1:], radius[:, :-1]))
     )
-    bad = np.any(right, axis=(0, 2)) | np.any(tie, axis=1)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        for hit in right[:, k, order[k]]:  # the first sorted hit, corner by corner
-            if np.any(hit):
-                r = int(order[k, np.argmax(hit)])
-                raise GeneralPositionError(
-                    "circle through three points has an input-pair diameter",
-                    offending=[tuple(sorted((i, int(js[k]), r)))],
-                )
-        s = int(np.argmax(tie[k]))
+    if np.any(tie):
+        k, s = np.argwhere(tie)[0]
         raise GeneralPositionError(
             "four points are cocircular",
             offending=[tuple(sorted((i, int(js[k]), int(order[k, s]), int(order[k, s + 1]))))],
@@ -188,26 +190,7 @@ def _pencils(pts, i, js, seg, r2, num, g, ends):
     c_in = np.cumsum(side > 0, axis=1)
     level = (c_in[:, -1:] - c_in) + (np.cumsum(leaves, axis=1) - leaves)
     level += np.sum(const_out, axis=1)[:, None]
-    radius = np.sqrt(t * t + r2[:, None])
     return const_out, order, t, side, acute, level, radius
-
-
-def _corners(pts, i, seg, r2, live):
-    """Right and acute triangles (i, j, r), from the dot products at their
-    corners: seg.a at i, with a = r - pts[i]; |seg|^2 - seg.a at j;
-    |a|^2 - seg.a at r.  A vanishing one is a right triangle, whose
-    circumcircle has an input-pair diameter; all positive is acute.
-
-    Returns right as a (3, K, n) mask, corner by corner, and acute as (K, n).
-    """
-    a = pts - pts[i]
-    seg2 = 4.0 * r2[:, None]
-    a2 = np.sum(a * a, axis=1)[None, :]
-    at_i = seg @ a.T
-    tol = DEGENERACY_TOL * np.maximum(1.0, seg2 + a2)
-    corners = (at_i, seg2 - at_i, a2 - at_i)
-    right = np.stack([live & (np.abs(d) <= tol) for d in corners])
-    return right, live & (corners[0] > 0) & (corners[1] > 0) & (corners[2] > 0)
 
 
 def enumerate_bases(points):

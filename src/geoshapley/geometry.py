@@ -1,9 +1,10 @@
 """Geometric primitives shared by every engine.
 
 Points are plain ``(n, 2)`` float arrays.  Predicates are evaluated in
-floating point with a documented degeneracy threshold: a determinant whose
-magnitude falls below ``DEGENERACY_TOL`` times the input magnitude scale is
-classified as degenerate, never silently perturbed.
+floating point under one degeneracy rule, stated at ``DEGENERACY_TOL``: a
+tested value is degenerate when its magnitude is at most ``DEGENERACY_TOL``
+times a scale built from its own operands.  Degenerate input is rejected,
+never silently perturbed.
 
 There is no separate general-position pass.  Each engine checks the
 assumptions its own algorithm needs, where it needs them, and raises
@@ -25,6 +26,11 @@ import numpy as np
 
 from .errors import DomainError, GeneralPositionError
 
+# The one degeneracy rule of the hull and disk engines: a tested value is
+# degenerate when |value| <= DEGENERACY_TOL * scale, the scale built from
+# the value's own operands (|u| |v| for the cross product u x v, the sum of
+# the squared lengths for a power, a radius for a gap on the radius scale).
+# No absolute floor enters, so scaling the input never changes a decision.
 DEGENERACY_TOL = 1e-12
 
 # Fixed shuffle seed for the randomized incremental enclosing-disk algorithm.
@@ -63,18 +69,16 @@ def check_distinct_coords(pts):
 def orientation(a, b, c):
     """Sign of the signed area of triangle abc: +1 ccw, -1 cw, 0 degenerate.
 
-    Degenerate means |det| below DEGENERACY_TOL relative to the magnitude
-    of the coordinate differences entering the determinant.
+    With u = b - a and v = c - a, degenerate means |u x v| <= DEGENERACY_TOL
+    |u| |v|: the sine of the angle at a is at most DEGENERACY_TOL, the test
+    the hull sweep makes on directions.
     """
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    mx = max(abs(b[0] - a[0]), abs(c[0] - a[0]))
-    my = max(abs(b[1] - a[1]), abs(c[1] - a[1]))
-    tol = DEGENERACY_TOL * max(1.0, mx * my)
-    if det > tol:
-        return 1
-    if det < -tol:
-        return -1
-    return 0
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    vx, vy = c[0] - a[0], c[1] - a[1]
+    det = ux * vy - uy * vx
+    if abs(det) <= DEGENERACY_TOL * math.hypot(ux, uy) * math.hypot(vx, vy):
+        return 0
+    return 1 if det > 0 else -1
 
 
 def convex_hull(points):
@@ -141,10 +145,10 @@ class Disk:
     center: tuple
     radius: float
 
-    def contains(self, p, tol=None):
-        if tol is None:
-            tol = 1e-9 * max(1.0, self.radius)
-        return math.hypot(p[0] - self.center[0], p[1] - self.center[1]) <= self.radius + tol
+    def contains(self, p):
+        """Distance to the centre at most radius (1 + DEGENERACY_TOL)."""
+        dist = math.hypot(p[0] - self.center[0], p[1] - self.center[1])
+        return dist <= self.radius + DEGENERACY_TOL * self.radius
 
     @property
     def area(self):
@@ -195,27 +199,24 @@ def min_enclosing_disk(points):
     if n > 2:
         random.Random(_DISK_SEED).shuffle(order)
 
-    def contains(disk, k):
-        return disk is not None and disk.contains(pts[k], tol=1e-12 * max(1.0, disk.radius))
-
     disk = _diametral_disk(pts[order[0]], pts[order[1]])
     basis = (order[0], order[1])
     for ii in range(2, n):
         i = order[ii]
-        if contains(disk, i):
+        if disk.contains(pts[i]):
             continue
         # p = pts[i] is on the boundary of med of the prefix.
         disk = _diametral_disk(pts[order[0]], pts[i])
         basis = (order[0], i)
         for jj in range(1, ii):
             j = order[jj]
-            if contains(disk, j):
+            if disk.contains(pts[j]):
                 continue
             disk = _diametral_disk(pts[j], pts[i])
             basis = (j, i)
             for kk in range(jj):
                 k = order[kk]
-                if contains(disk, k):
+                if disk.contains(pts[k]):
                     continue
                 cd = _circumdisk(pts[i], pts[j], pts[k])
                 if cd is not None:

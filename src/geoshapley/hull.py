@@ -29,8 +29,7 @@ import numpy as np
 from . import geometry
 from .errors import GeneralPositionError
 from .games import ShapleyVector, rho, rho_prime
-
-_ANGLE_TOL = 1e-12
+from .geometry import DEGENERACY_TOL
 
 # Array elements (sources x points) per block of the sweep.  A block keeps
 # about twenty arrays of this size alive, so 2^12 elements hold its working
@@ -65,7 +64,7 @@ def _sweep(pts):
         mod = np.take(mod, flat)
         gaps = np.diff(mod, axis=1)
         wrap = math.pi - (mod[:, -1] - mod[:, 0])
-        bad = np.any(gaps < _ANGLE_TOL, axis=1) | (wrap < _ANGLE_TOL)
+        bad = np.any(gaps <= DEGENERACY_TOL, axis=1) | (wrap <= DEGENERACY_TOL)
         if bad.any():
             raise _position_error(pts, int(rows[np.argmax(bad)]))
         sign = np.where(np.take(up, flat), 1, -1)

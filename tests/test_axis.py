@@ -28,6 +28,13 @@ def ne_table(grid):
     return t
 
 
+def ranks(grid):
+    """The x and y rank (1-based) of every input point, by input index."""
+    x_rank = np.empty(grid.n, dtype=np.int64)
+    x_rank[grid.order] = np.arange(1, grid.n + 1)
+    return x_rank, grid.Y[x_rank]
+
+
 def make_chain(rng, n, inc=True, low=0.1, high=10.0):
     x = np.sort(rng.uniform(low, high, n))
     y = np.sort(rng.uniform(low, high, n))
@@ -50,10 +57,10 @@ class TestGridArrangement:
 
     def test_axis_points_take_lowest_ranks(self):
         g = GridArrangement([(0, 1), (0, 2), (1, 3)])
-        assert list(g.x_rank) == [1, 2, 3]
+        assert list(ranks(g)[0]) == [1, 2, 3]
         assert g.w[1] == g.w[2] == 0 and g.w[3] == 1
         g = GridArrangement([(3, 0), (1, 2), (2, 0)])
-        assert list(g.y_rank) == [1, 3, 2]
+        assert list(ranks(g)[1]) == [1, 3, 2]
         assert g.h[1] == g.h[2] == 0 and g.h[3] == 2
 
     def test_decreasing_chain_closed_form(self, rng):
@@ -126,9 +133,10 @@ class TestAnchoredRects:
         g = GridArrangement(pts)
         tbl = ne_table(g)
         sv = shapley_anchored_rects(pts)
+        x_rank, y_rank = ranks(g)
         for k in range(12):
-            i_p = g.x_rank[k]
-            j_p = g.y_rank[k]
+            i_p = x_rank[k]
+            j_p = y_rank[k]
             expect = sum(
                 g.w[i] * g.h[j] / tbl[i, j]
                 for i in range(1, i_p + 1)
@@ -362,6 +370,22 @@ class TestChainBoundaries:
             with monkeypatch.context() as m:
                 m.setattr(axis, "_batched_consecutive_eval", direct_batched_eval)
                 assert_close(fast(ch).values, q, rel=1e-9, abs_floor=1e-13)
+
+    @pytest.mark.parametrize("inc", [True, False], ids=["increasing", "decreasing"])
+    @pytest.mark.parametrize("game", ["anchored-rects", "anchored-bbox"])
+    def test_wide_range_chains_match_quadratic(self, game, inc):
+        # Coordinates from 1e-6 to 1e6 in geometric steps of about 1.4%,
+        # each moved by a relative jitter of at most 1e-4: the head sums of
+        # the chain engines are twelve orders of magnitude below the tail.
+        rng = np.random.default_rng(12)
+        n = 2048
+        x, y = (np.geomspace(1e-6, 1e6, n) * (1.0 + 1e-4 * rng.uniform(-1.0, 1.0, n)) for _ in "xy")
+        ch = np.column_stack([x, y if inc else y[::-1]])
+        fast, quadratic = {
+            "anchored-rects": (shapley_anchored_rects, shapley_anchored_rects_quadratic),
+            "anchored-bbox": (shapley_anchored_bbox, shapley_anchored_bbox_quadratic),
+        }[game]
+        assert_close(fast(ch).values, quadratic(ch).values, rel=1e-9, abs_floor=0.0)
 
 
 def band_staircase(rng, n):

@@ -50,6 +50,16 @@ class TestCompute:
         assert_close(values, [values[0]] * 3, rel=1e-9)
         assert_close(sum(values), data["total"], rel=1e-9)
 
+    def test_hull_area_residual_at_micro_scale(self, tmp_path, capsys):
+        # Forty points spread over 1e-5: the total must keep every hull
+        # vertex however small the units.
+        pts = np.random.default_rng(0).uniform(-5.0, 5.0, (40, 2)) * 1e-6
+        path = _write_points(tmp_path / "micro.csv", pts)
+        code, out, _ = run(capsys, "compute", "--game", "hull-area", "--input", path)
+        assert code == 0
+        data = json.loads(out)
+        assert abs(data["efficiency_residual"]) <= 1e-9 * abs(data["total"])
+
     @pytest.mark.parametrize("game", ["hull-area", "disk-area", "bbox-area"])
     def test_subset_oracle_matches_fast_engine_at_16(self, tmp_path, capsys, game):
         pts = np.random.default_rng(16).uniform(-10.0, 10.0, size=(16, 2))
@@ -215,8 +225,8 @@ class TestGeneralPosition:
             assert code == 0, (game, err)
 
     def test_axis_aligned_right_triangle_flags(self, tmp_path, capsys):
-        # Shares coordinates and its circumcircle has an input-pair diameter,
-        # but no three points are collinear.
+        # Shares coordinates and (0, 0) lies on the diametral circle of the
+        # other two, but no three points are collinear.
         path = _write_points(tmp_path / "in.csv", [(0, 0), (1, 0), (0, 1)])
         expected = {
             "hull-area": (0, ""),

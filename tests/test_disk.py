@@ -208,8 +208,8 @@ class TestGeneralPosition:
         pts = np.random.default_rng(2026).uniform(-10, 10, size=(12, 2))
         if kind in ("diametral", "right", "both"):
             # Point 9 on the circle with diameter (7, 10); "right" moves it
-            # out by a relative 1.5e-12, past the pair test's tolerance but
-            # within the right-angle test's.
+            # out by a relative 1.5e-12, past the pair test's tolerance, so
+            # its angle in (7, 9, 10) is acute by a margin the rule accepts.
             m = 0.5 * (pts[7] + pts[10])
             r = 0.5 * np.hypot(*(pts[7] - pts[10])) * (1 + 1.5e-12 * (kind == "right"))
             pts[9] = m + r * np.array([np.cos(1.0), np.sin(1.0)])
@@ -231,7 +231,6 @@ class TestGeneralPosition:
         "kind, message, offending",
         [
             ("diametral", "diametral circle of a pair", (7, 9, 10)),
-            ("right", "input-pair diameter", (7, 9, 10)),
             ("cocircular", "four points are cocircular", (1, 3, 4, 6)),
             # The pencil of (1, 3) comes before the pair (7, 10), but every
             # pair check runs before the first pencil check.
@@ -242,3 +241,17 @@ class TestGeneralPosition:
         with pytest.raises(GeneralPositionError, match=message) as exc:
             solve(self.planted(kind))
         assert exc.value.offending == (offending,)
+
+    @pytest.mark.parametrize("minus_mode", ["pencil", "direct"])
+    @pytest.mark.parametrize("measure", ["area", "perimeter"])
+    def test_planted_near_right_angle_accepted(self, measure, minus_mode):
+        # A right angle at 9 would put 9 on the diametral circle of (7, 10),
+        # which the pair test rejects; 1.5e-12 outside it, the input is valid.
+        pts = self.planted("right")
+        game = "disk-area" if measure == "area" else "disk-perimeter"
+        got = shapley_disk(pts, measure, minus_mode=minus_mode)
+        assert_close(got.values, shapley_by_subsets(game, pts).values, rel=1e-9)
+
+    def test_planted_near_right_angle_is_a_basis(self):
+        supports = {b.support for b in enumerate_bases(self.planted("right"))}
+        assert (7, 10) in supports and (7, 9, 10) in supports

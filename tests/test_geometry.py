@@ -53,11 +53,12 @@ class TestConvexHull:
 
 
 def _orientation_fsum(a, b, c):
-    """geometry.orientation as it was, with the determinant from math.fsum."""
-    det = math.fsum([(b[0] - a[0]) * (c[1] - a[1]), -(b[1] - a[1]) * (c[0] - a[0])])
-    mx = max(abs(b[0] - a[0]), abs(c[0] - a[0]))
-    my = max(abs(b[1] - a[1]), abs(c[1] - a[1]))
-    tol = DEGENERACY_TOL * max(1.0, mx * my)
+    """geometry.orientation's rule, |u x v| <= DEGENERACY_TOL |u| |v| with
+    u = b - a and v = c - a, with the determinant from math.fsum."""
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    vx, vy = c[0] - a[0], c[1] - a[1]
+    det = math.fsum([ux * vy, -uy * vx])
+    tol = DEGENERACY_TOL * math.hypot(ux, uy) * math.hypot(vx, vy)
     return 1 if det > tol else -1 if det < -tol else 0
 
 

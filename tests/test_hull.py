@@ -183,7 +183,7 @@ class TestGeneralPosition:
     @pytest.mark.parametrize("solver", [shapley_hull_area, shapley_hull_perimeter])
     def test_near_collinear_triple_reported(self, solver):
         # Seen from point 0, points 1 and 2 are 7.5e-13 rad apart: inside the
-        # angle tolerance, although the orientation test calls them ccw.
+        # angle tolerance, and orientation calls the triple degenerate too.
         with pytest.raises(GeneralPositionError) as exc:
             solver([(0, 0), (1000, 0), (2000, 1.5e-9), (500, 700)])
         assert exc.value.offending == ((0, 1, 2),)
