@@ -89,7 +89,8 @@ def _sweeps(pts):
     Sweeping the circle center along the bisector of (i, j), center =
     midpoint + t * u with u the unit normal of the segment, a third point
     r with signed normal offset g = 2 (r - m).u crosses the boundary at
-    t = (|r - m|^2 - |seg|^2 / 4) / g; it enters (g > 0) or leaves (g < 0)
+    t = (|r - m|^2 - |seg|^2 / 4) / g, whose numerator is the power
+    (r - pts[i]).(r - pts[j]); it enters (g > 0) or leaves (g < 0)
     the disk there.  Points on the line through the pair (g == 0) never
     cross: outside iff beyond the segment.
 
@@ -104,12 +105,12 @@ def _sweeps(pts):
         js = np.arange(i + 1, n)
         seg = pts[js] - pts[i]
         r2 = 0.25 * np.sum(seg * seg, axis=1)
-        num, g, ends = _pair_rows(pts, i, js, seg, r2)
+        num, g, ends, corners = _pair_rows(pts, i, js, seg)
         if pending is not None:
             continue
         outside = (num > 0) & ~ends
         try:
-            sweep = _pencils(pts, i, js, seg, r2, num, g, ends)
+            sweep = _pencils(i, js, r2, num, g, ends, corners)
         except GeneralPositionError as err:
             pending = err
             continue
@@ -118,34 +119,42 @@ def _sweeps(pts):
         raise pending
 
 
-def _pair_rows(pts, i, js, seg, r2):
-    """Rows (i, j) for j in js, with a column per point: its power with
-    respect to the diametral circle of (i, j), its signed normal offset
-    g = 2 (r - m).u, and whether it is i or j.  A point on a diametral
-    circle is rejected before g is formed: the power |r - m|^2 - |seg|^2 / 4
-    equals (r - pts[i]).(r - pts[j]), degenerate at most DEGENERACY_TOL
-    times |r - m|^2 + |seg|^2 / 4."""
-    m = 0.5 * (pts[i] + pts[js])
-    dx = pts[None, :, 0] - m[:, 0, None]
-    dy = pts[None, :, 1] - m[:, 1, None]
-    dist2 = dx * dx + dy * dy
-    num = dist2 - r2[:, None]
+def _pair_rows(pts, i, js, seg):
+    """Rows (i, j) for j in js, with a column per point r, all formed from
+    coordinate differences: the power of r with respect to the diametral
+    circle of (i, j), (r - pts[i]).(r - pts[j]); its signed normal offset
+    g = ((r - pts[i]) + (r - pts[j])).u; whether r is i or j; and whether
+    the triangle (i, j, r) is acute at i and at j.
+
+    A point on a diametral circle is rejected before g is formed: its power
+    is at most DEGENERACY_TOL times (|r - pts[i]|^2 + |r - pts[j]|^2) / 2.
+    A right angle at any corner of a triangle is such a point, and the dot
+    products at i and at j are bit for bit the powers that the pair checks
+    of (j, r) and (i, r) test, so no corner sign is read off noise."""
+    ax = pts[:, 0] - pts[i, 0]
+    ay = pts[:, 1] - pts[i, 1]
+    bx = pts[None, :, 0] - pts[js, 0, None]
+    by = pts[None, :, 1] - pts[js, 1, None]
+    num = ax * bx + ay * by
     ends = np.zeros(num.shape, dtype=bool)
     ends[:, i] = True
     ends[np.arange(js.size), js] = True
-    on_boundary = (np.abs(num) <= DEGENERACY_TOL * (dist2 + r2[:, None])) & ~ends
+    scale = 0.5 * ((ax * ax + ay * ay) + (bx * bx + by * by))
+    on_boundary = (np.abs(num) <= DEGENERACY_TOL * scale) & ~ends
     if np.any(on_boundary):
         k, s = np.argwhere(on_boundary)[0]
         raise GeneralPositionError(
             "point lies on the diametral circle of a pair",
             offending=[tuple(sorted((i, int(js[k]), int(s))))],
         )
-    norm = np.hypot(seg[:, 0], seg[:, 1])
-    u = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / norm[:, None]
-    return num, 2.0 * (dx * u[:, 0, None] + dy * u[:, 1, None]), ends
+    sx, sy = seg[:, 0, None], seg[:, 1, None]
+    norm = np.hypot(sx, sy)
+    g = ((ay + by) * sx - (ax + bx) * sy) / norm
+    corners = (sx * ax + sy * ay > 0) & (sx * bx + sy * by < 0)
+    return num, g, ends, corners
 
 
-def _pencils(pts, i, js, seg, r2, num, g, ends):
+def _pencils(i, js, r2, num, g, ends, corners):
     """Sweep fields of the pencils through (i, j) for all j in js."""
     k_rows, n = num.shape
     g[ends] = 0.0
@@ -161,11 +170,8 @@ def _pencils(pts, i, js, seg, r2, num, g, ends):
     side = np.sign(sort(g)).astype(np.int8)
     t = np.where(side != 0, sort(t), 0.0)
     radius = np.sqrt(t * t + r2[:, None])
-    # Acute (i, j, r) from the signs at its corners: seg.a at i, with
-    # a = r - pts[i]; |seg|^2 - seg.a at j; the power num at r.  The pair
-    # checks have bounded each away from zero.
-    at_i = seg @ (pts - pts[i]).T
-    acute = sort(live & (at_i > 0) & (4.0 * r2[:, None] - at_i > 0) & (num > 0))
+    # Acute (i, j, r): acute at i and at j, and r outside the diametral disk.
+    acute = sort(live & corners & (num > 0))
 
     # Parameter ties between sweep neighbours, one of them a basis triple:
     # a gap in t at most DEGENERACY_TOL times the larger of the two radii.
@@ -305,6 +311,7 @@ def _shapley_direct(pts, meas_of):
     whose squared distance to the basis's own centre exceeds its squared
     radius, the support excepted; rho and rho' come from rho_basis and
     rho_prime_basis.  The sweep's outside masks and sums are not used.
+    Centres and points are taken relative to pts[i], as in the sweep.
     """
     n = pts.shape[0]
     rho_of = {b: np.array([rho_basis(b, lv) if lv else 0.0 for lv in range(n)]) for b in (2, 3)}
@@ -312,20 +319,21 @@ def _shapley_direct(pts, meas_of):
     phi = np.zeros(n)
     for sw in _sweeps(pts):
         i = sw.i
+        rel = pts - pts[i]
         k, s = np.nonzero(sw.acute & (sw.order > sw.js[:, None]))
         j = sw.js[k]
-        seg = pts[j] - pts[i]
+        seg = rel[j]
         u = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / np.hypot(seg[:, 0], seg[:, 1])[:, None]
         bases = (
             (
                 np.column_stack([np.full(sw.js.size, i), sw.js]),
-                0.5 * (pts[i] + pts[sw.js]),
+                0.5 * rel[sw.js],
                 sw.pair_radius,
                 sw.pair_level,
             ),
             (
                 np.column_stack([np.full(k.size, i), j, sw.order[k, s]]),
-                0.5 * (pts[i] + pts[j]) + sw.t[k, s][:, None] * u,
+                0.5 * seg + sw.t[k, s][:, None] * u,
                 sw.radius[k, s],
                 sw.level[k, s],
             ),
@@ -339,8 +347,8 @@ def _shapley_direct(pts, meas_of):
             step = max(1, _DIRECT_BLOCK // n)
             for lo in range(0, w.size, step):
                 c = center[lo : lo + step]
-                dx = pts[None, :, 0] - c[:, 0, None]
-                dy = pts[None, :, 1] - c[:, 1, None]
+                dx = rel[None, :, 0] - c[:, 0, None]
+                dy = rel[None, :, 1] - c[:, 1, None]
                 out = dx * dx + dy * dy > (radius[lo : lo + step] ** 2)[:, None]
                 out[np.arange(c.shape[0])[:, None], support[lo : lo + step]] = False
                 phi -= w_minus[lo : lo + step] @ out

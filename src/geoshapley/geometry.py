@@ -1,10 +1,8 @@
 """Geometric primitives shared by every engine.
 
 Points are plain ``(n, 2)`` float arrays.  Predicates are evaluated in
-floating point under one degeneracy rule, stated at ``DEGENERACY_TOL``: a
-tested value is degenerate when its magnitude is at most ``DEGENERACY_TOL``
-times a scale built from its own operands.  Degenerate input is rejected,
-never silently perturbed.
+floating point under the one degeneracy rule stated at ``DEGENERACY_TOL``.
+Degenerate input is rejected, never silently perturbed.
 
 There is no separate general-position pass.  Each engine checks the
 assumptions its own algorithm needs, where it needs them, and raises

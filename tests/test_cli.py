@@ -925,7 +925,7 @@ hull-area oracle-subset max_discrepancy=1.598e-15 PASS
 hull-perimeter fast max_discrepancy=1.393e-15 PASS
 hull-perimeter naive max_discrepancy=1.703e-15 PASS
 hull-perimeter oracle-subset max_discrepancy=1.548e-15 PASS
-disk-area fast max_discrepancy=1.290e-15 PASS
+disk-area fast max_discrepancy=1.330e-15 PASS
 disk-area naive max_discrepancy=1.344e-15 PASS
 disk-area oracle-subset max_discrepancy=1.286e-15 PASS
 disk-perimeter fast max_discrepancy=1.660e-15 PASS

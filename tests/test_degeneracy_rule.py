@@ -10,6 +10,7 @@ import pytest
 
 from geoshapley import geometry
 from geoshapley.disk import shapley_disk
+from geoshapley.errors import GeneralPositionError
 from geoshapley.hull import shapley_hull_area, shapley_hull_perimeter
 from geoshapley.oracle import shapley_by_subsets
 
@@ -68,6 +69,49 @@ def test_mixed_scale_cluster_matches_subsets(game, seed):
     want = shapley_by_subsets(game, pts)
     assert_close(got.values, want.values, rel=1e-9)
     assert_close(got.game_total, want.game_total, rel=1e-9)
+
+
+@pytest.mark.parametrize("measure", ["area", "perimeter"])
+@pytest.mark.parametrize("minus_mode", ["pencil", "direct"])
+def test_exact_translation_keeps_disk_values_bit_for_bit(measure, minus_mode):
+    # Coordinates on a 2^-36 grid stay exact when shifted by 3 * 2^15, so the
+    # shifted set has the same geometry; the midpoints of its pairs do not
+    # stay exact, so any predicate or parameter formed from them shows.
+    base = np.round(BASE * 2.0**36) / 2.0**36
+    shifted = base + 3 * 2.0**15
+    assert np.array_equal(shifted - 3 * 2.0**15, base)
+    want = shapley_disk(base, measure, minus_mode)
+    got = shapley_disk(shifted, measure, minus_mode)
+    assert np.array_equal(got.values, want.values)
+    assert got.game_total == want.game_total
+
+
+def _offset_right_triangle(seed):
+    """An axis-aligned right triangle near (1e5, 1e5), exactly right-angled
+    in floating point, among five random points; returns the points and the
+    triangle's indices."""
+    rng = np.random.default_rng(seed)
+    corner = 1e5 + 0.1 + rng.uniform(0.0, 1.0, 2)
+    legs = rng.uniform(0.5, 2.0, 2)
+    tri = [corner, corner + [legs[0], 0.0], corner + [0.0, legs[1]]]
+    pts = np.vstack([tri, corner + rng.uniform(-2.0, 3.0, (5, 2))])
+    perm = rng.permutation(len(pts))
+    return pts[perm], tuple(sorted(int(k) for k in np.argsort(perm)[:3]))
+
+
+@pytest.mark.parametrize("measure", ["area", "perimeter"])
+@pytest.mark.parametrize("minus_mode", ["pencil", "direct"])
+@pytest.mark.parametrize("seed", range(8))
+def test_offset_right_triangle_rejected(seed, measure, minus_mode):
+    # The right-angled corner lies on the diametral circle of the other two
+    # points, and that pair check is all that rejects the triangle.  Its
+    # power must not carry rounding on the scale of the coordinates (about
+    # 1e-11 here): noise read as outside would make the triangle an acute
+    # basis with no error.
+    pts, triangle = _offset_right_triangle(seed)
+    with pytest.raises(GeneralPositionError, match="diametral circle") as exc:
+        shapley_disk(pts, measure, minus_mode)
+    assert exc.value.offending == (triangle,)
 
 
 def test_orientation_agrees_with_the_sweep():
