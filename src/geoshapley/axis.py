@@ -35,7 +35,7 @@ from .errors import (
     DomainError,
     GeneralPositionError,
 )
-from .games import ShapleyVector, _airport_values
+from .games import ShapleyVector, _airport_family
 
 
 class GridArrangement:
@@ -694,12 +694,10 @@ def shapley_bbox(points, method="fast"):
         for cy, sy in ((ylo, 1.0), (yhi, -1.0)):
             sub = np.column_stack([sx * (x - cx), sy * (y - cy)])
             values += _solve_grid(sub, _ABB_ENGINES, method)
-    ox = np.argsort(x)
-    oy = np.argsort(y)
-    values -= H * _airport_values(xhi - x, ox[::-1])
-    values -= H * _airport_values(x - xlo, ox)
-    values -= W * _airport_values(yhi - y, oy[::-1])
-    values -= W * _airport_values(y - ylo, oy)
+    a, b = np.empty(n), np.empty(n)
+    for side, t, lo, hi in ((H, x, xlo, xhi), (W, y, ylo, yhi)):
+        values -= side * _airport_family(hi - t, "airport", a, b)
+        values -= side * _airport_family(t - lo, "airport", a, b)
     return ShapleyVector(values, total, "bbox-area")
 
 

@@ -27,7 +27,7 @@ from .errors import (
     SizeLimitError,
 )
 from .games import GAME_KINDS
-from .instances import random_chain, random_instance, verification_suite
+from .instances import CHAIN_GAMES, random_chain, random_instance, verification_suite
 from .rowtext import row_texts
 
 EXIT_OK = 0
@@ -410,19 +410,10 @@ def cmd_compute(args):
 def _reference_algorithm(game, n):
     """oracle-perm up to its guard, then the quadratic or naive engine,
     then oracle-subset up to its guard; None when none applies."""
-    from . import oracle
-
-    if n <= oracle.PERMUTATION_LIMIT:
-        return "oracle-perm"
-    for cand in ("quadratic", "naive"):
-        try:
-            solver_for(game, cand)
-            return cand
-        except DomainError:
-            continue
-    if n <= oracle.SUBSET_LIMIT:
-        return "oracle-subset"
-    return None
+    applicable = algorithms_for(game, n)
+    return next(
+        (a for a in ("oracle-perm", "quadratic", "naive", "oracle-subset") if a in applicable), None
+    )
 
 
 def _check_verify_args(args):
@@ -476,7 +467,7 @@ def cmd_verify(args):
         worst = {}
         for n in range(args.nmin, args.nmax + 1):
             instances = verification_suite(game, rng, n, args.instances)
-            if args.chains and game in ("anchored-rects", "bbox-area", "anchored-bbox-area"):
+            if args.chains and game in CHAIN_GAMES:
                 instances = [
                     random_chain(rng, n, increasing=bool(k % 2))
                     for k in range(args.instances)

@@ -174,144 +174,105 @@ def _airport_phi(t):
     np.cumsum(t, out=t)
 
 
-def _airport_values(coords, order):
-    """Airport values of coords, which ``order`` sorts ascending, ties in
-    any order: a tie has gap 0, so tied players get equal values whichever
-    comes first."""
-    x = np.asarray(coords, dtype=float)
-    phi = np.take(x, order, mode="clip")
-    _airport_phi(phi)
-    out = np.empty(x.size)
-    out[order] = phi
-    return out
+def _airport_family(x, kind, a, b):
+    """Solve the 1-D game ``kind`` on the coordinates x and return b, which
+    holds its values by player; a and b are n-length buffers.
 
+    x is copied into b and sorted into a by one argsort of that contiguous
+    copy, so neither the sort nor the gather makes a copy of its own; the
+    game is solved in a and scattered back into b.  Each kind is a sum of
+    airport games on the sorted coordinates t:
 
-def _opposed_airports(a, b):
-    """Add two airport games whose players come in opposite orders: a and b
-    hold ascending coordinates, b's players in the reverse of a's order.
-    a becomes the sum of the two values per player, in a's order; b is
-    overwritten."""
-    _airport_phi(a)
-    _airport_phi(b)
-    np.add(a, b[::-1], out=a)
+    - "airport", v(Q) = max(Q): the recurrence on t;
+    - "interval", v(Q) = max(Q) - min(Q): airport games on t - min x and,
+      read backward, on max x - t, plus the constant game min x - max x,
+      whose value is (min x - max x) / n for everyone;
+    - "anchored", v(Q) = max(max(Q), 0) - min(min(Q), 0): airport games on
+      max(t, 0) and, read backward, on max(-t, 0).
 
-
-def _sorted_copy(x, a, b):
-    """Sort x into a and return the order, an argsort of x.
-
-    The sort and the gather read a contiguous copy of x in b, so neither
-    makes a copy of its own.
+    A tie has gap 0, so tied players get equal values whichever the sort
+    puts first.
     """
     np.copyto(b, x)
     order = np.argsort(b)
     np.take(b, order, out=a, mode="clip")  # "clip": no bounds-check copy
-    return order
+    if kind == "interval":
+        alpha, beta = float(x.min()), float(x.max())
+        np.subtract(beta, a[::-1], out=b)
+        np.subtract(a, alpha, out=a)
+    elif kind == "anchored":
+        np.negative(a[::-1], out=b)
+        np.maximum(b, 0.0, out=b)
+        np.maximum(a, 0.0, out=a)
+    _airport_phi(a)
+    if kind != "airport":
+        _airport_phi(b)
+        np.add(a, b[::-1], out=a)
+    if kind == "interval":
+        np.add(a, (alpha - beta) / a.size, out=a)
+    b[order] = a
+    return b
 
 
-def _interval_length_sorted(a, b, alpha, beta):
-    """Overwrite a, the coordinates x in ascending order, with the Shapley
-    values of v(Q) = max(Q) - min(Q) in that order; b is scratch, and
-    alpha and beta are min(x) and max(x).
-
-    Decomposes into two airport games (after translation / reflection)
-    plus the constant game v3 = min(P) - max(P), whose Shapley value is
-    v3 / n for everyone.  v3 is the only negative-valued component.  One
-    sort of x serves both: x - alpha rises with x and beta - x falls.
-    """
-    np.subtract(beta, a[::-1], out=b)
-    np.subtract(a, alpha, out=a)
-    _opposed_airports(a, b)
-    np.add(a, (alpha - beta) / a.size, out=a)
-
-
-def _interval_length_values(coords):
-    """Interval-length values of coords, in two n-length buffers besides
-    the sort."""
-    x = np.asarray(coords, dtype=float)
-    a = np.empty(x.size)
-    out = np.empty(x.size)
-    order = _sorted_copy(x, a, out)
-    _interval_length_sorted(a, out, float(x.min()), float(x.max()))
-    out[order] = a
-    return out
+def _line(coords):
+    """Coerce 1-D input to a flat float64 array of at least one finite
+    coordinate."""
+    x = np.asarray(coords, dtype=float).reshape(-1)
+    if x.size < 1:
+        raise DomainError("need at least one player")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("point coordinates must be finite")
+    return x
 
 
 def shapley_airport(coords):
     """Airport game v(Q) = max(Q) for points on the positive line."""
-    x = np.asarray(coords, dtype=float).reshape(-1)
-    if x.size < 1:
-        raise DomainError("need at least one player")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("point coordinates must be finite")
+    x = _line(coords)
     if np.any(x <= 0.0):
         raise DomainError("airport coordinates must be strictly positive")
-    phi = np.empty(x.size)
-    out = np.empty(x.size)
-    order = _sorted_copy(x, phi, out)
-    _airport_phi(phi)
-    out[order] = phi
-    return ShapleyVector(out, float(x.max()), "airport")
+    values = _airport_family(x, "airport", np.empty(x.size), np.empty(x.size))
+    return ShapleyVector(values, float(x.max()), "airport")
 
 
 def shapley_interval_length(coords):
     """Interval-length game v(Q) = max(Q) - min(Q) on the line."""
-    x = np.asarray(coords, dtype=float).reshape(-1)
-    if x.size < 1:
-        raise DomainError("need at least one player")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("point coordinates must be finite")
-    return ShapleyVector(
-        _interval_length_values(x), float(x.max() - x.min()), "interval-length"
-    )
+    x = _line(coords)
+    values = _airport_family(x, "interval", np.empty(x.size), np.empty(x.size))
+    return ShapleyVector(values, float(x.max() - x.min()), "interval-length")
 
 
 def shapley_area_band(points):
     """Band game: interval length of the x coordinates scaled by the
     (constant) y extent of the full point set."""
     pts = geometry.as_points(points)
+    n = pts.shape[0]
     height = float(pts[:, 1].max() - pts[:, 1].min())
-    values = _interval_length_values(pts[:, 0])
+    values = _airport_family(pts[:, 0], "interval", np.empty(n), np.empty(n))
     np.multiply(height, values, out=values)
     total = height * float(pts[:, 0].max() - pts[:, 0].min())
     return ShapleyVector(values, total, "area-band")
 
 
-def shapley_bbox_perimeter(points):
-    """Perimeter of the bounding box: two interval-length games, each
-    solved in the order of its own coordinate, in three n-length buffers
-    besides the sort."""
+def _box_perimeter(points, kind, game):
+    """Twice the sum of the 1-D game ``kind`` on x and on y, each solved in
+    the order of its own coordinate, in three n-length buffers besides the
+    sort."""
     pts = geometry.as_points(points)
-    values = np.empty(pts.shape[0])
-    a, b = np.empty((2, pts.shape[0]))
-    for k, out in ((0, values), (1, b)):
-        x = pts[:, k]
-        order = _sorted_copy(x, a, b)
-        _interval_length_sorted(a, b, float(x.min()), float(x.max()))
-        np.multiply(2.0, a, out=a)
-        out[order] = a
-        del order  # the next sort may reuse its memory
-    np.add(values, b, out=values)
-    total = eval_characteristic("bbox-perimeter", pts)
-    return ShapleyVector(values, total, "bbox-perimeter")
+    n = pts.shape[0]
+    values, a, b = np.empty(n), np.empty(n), np.empty(n)
+    _airport_family(pts[:, 0], kind, a, values)
+    values += _airport_family(pts[:, 1], kind, a, b)
+    values *= 2.0
+    return ShapleyVector(values, eval_characteristic(game, pts), game)
+
+
+def shapley_bbox_perimeter(points):
+    """Perimeter of the bounding box: two interval-length games."""
+    return _box_perimeter(points, "interval", "bbox-perimeter")
 
 
 def shapley_anchored_bbox_perimeter(points):
     """Perimeter of the origin-anchored bounding box: four airport games
-    on the clamped coordinates max(+-x, 0), max(+-y, 0).  One sort per
-    coordinate serves both of its games, read forward for max(x, 0) and
-    backward for max(-x, 0); three n-length buffers besides the sort."""
-    pts = geometry.as_points(points)
-    values = np.empty(pts.shape[0])
-    a, b = np.empty((2, pts.shape[0]))
-    for k, out in ((0, values), (1, b)):
-        order = _sorted_copy(pts[:, k], a, b)
-        np.negative(a[::-1], out=b)
-        np.maximum(b, 0.0, out=b)
-        np.maximum(a, 0.0, out=a)
-        _opposed_airports(a, b)
-        np.multiply(2.0, a, out=a)
-        out[order] = a
-        del order  # the next sort may reuse its memory
-    np.add(values, b, out=values)
-    total = eval_characteristic("anchored-bbox-perimeter", pts)
-    return ShapleyVector(values, total, "anchored-bbox-perimeter")
+    on the clamped coordinates max(+-x, 0), max(+-y, 0), one sort per
+    coordinate."""
+    return _box_perimeter(points, "anchored", "anchored-bbox-perimeter")

@@ -113,12 +113,18 @@ def convex_hull(points):
 
 
 def hull_area(vertices):
-    """Shoelace area of a ccw vertex cycle; 0 for degenerate hulls."""
+    """Shoelace area of a ccw vertex cycle; 0 for degenerate hulls.
+
+    The shoelace runs on the vectors from the first vertex to the others,
+    a fan of triangles, so its products scale with the hull and not with
+    its distance from the origin.
+    """
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[0] < 3:
         return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    w = v[1:] - v[0]
+    x, y = w[:, 0], w[:, 1]
+    return 0.5 * abs(float(np.dot(x[:-1], y[1:]) - np.dot(y[:-1], x[1:])))
 
 
 def hull_perimeter(vertices):

@@ -12,6 +12,9 @@ import numpy as np
 # Chains draw both coordinates uniformly from [_CHAIN_LOW, _CHAIN_HIGH).
 _CHAIN_LOW, _CHAIN_HIGH = 0.1, 100.0
 
+# The rank-space games, whose fast solvers detect chains.
+CHAIN_GAMES = ("anchored-rects", "bbox-area", "anchored-bbox-area")
+
 # Every _CHAIN_EVERY-th instance of a verification suite of a rank-space
 # game is a chain.
 _CHAIN_EVERY = 5
@@ -46,10 +49,6 @@ def random_instance(game, rng, n, chain=False):
 
 def verification_suite(game, rng, n, count):
     """A batch of instances; the rank-space games mix in chains periodically."""
-    chainable = game in (
-        "anchored-rects",
-        "bbox-area",
-        "anchored-bbox-area",
-    )
+    chainable = game in CHAIN_GAMES
     for k in range(count):
         yield random_instance(game, rng, n, chain=chainable and k % _CHAIN_EVERY == _CHAIN_EVERY - 1)

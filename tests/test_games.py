@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,32 @@ def _reference_values(solver, pts, airport):
     return 2.0 * clamped(x) + 2.0 * clamped(y)
 
 
+def _bbox_reference(pts, airport):
+    """axis.shapley_bbox's values with its band terms from
+    ``airport(coords, order)``, each coordinate argsorted once, in
+    shapley_bbox's order of operations."""
+    n = pts.shape[0]
+    if n == 1:
+        return np.zeros(1)
+    x, y = pts[:, 0], pts[:, 1]
+    xlo, xhi = float(x.min()), float(x.max())
+    ylo, yhi = float(y.min()), float(y.max())
+    W = xhi - xlo
+    H = yhi - ylo
+    values = np.full(n, W * H / n)
+    for cx, sx in ((xlo, 1.0), (xhi, -1.0)):
+        for cy, sy in ((ylo, 1.0), (yhi, -1.0)):
+            sub = np.column_stack([sx * (x - cx), sy * (y - cy)])
+            values += axis._solve_grid(sub, axis._ABB_ENGINES, "fast")
+    ox = np.argsort(x)
+    oy = np.argsort(y)
+    values -= H * airport(xhi - x, ox[::-1])
+    values -= H * airport(x - xlo, ox)
+    values -= W * airport(yhi - y, oy[::-1])
+    values -= W * airport(y - ylo, oy)
+    return values
+
+
 def _same_bits(got, want):
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -261,12 +288,10 @@ class TestOneSortPerCoordinate:
         assert np.array_equal(got.values, _reference_values(solver, pts, _airport_two_sort))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 255, 257, 4097])
-    def test_bbox_band_terms(self, monkeypatch, n):
+    def test_bbox_band_terms(self, n):
         pts = np.random.default_rng(n).uniform(-50.0, 50.0, (n, 2))
         got = axis.shapley_bbox(pts)
-        monkeypatch.setattr(axis, "_airport_values", _airport_two_sort)
-        want = axis.shapley_bbox(pts)
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.values, _bbox_reference(pts, _airport_two_sort))
 
 
 def _buffer_inputs():
@@ -291,8 +316,39 @@ class TestReusedBuffers:
         assert _same_bits(got, _reference_values(solver, pts, _airport_one_sort))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 255, 257, 4097, games._GAP_BLOCK + 1])
-    def test_bbox_band_terms(self, monkeypatch, n):
+    def test_bbox_band_terms(self, n):
         pts = np.random.default_rng(n).uniform(-50.0, 50.0, (n, 2))
         got = axis.shapley_bbox(pts).values
-        monkeypatch.setattr(axis, "_airport_values", _airport_one_sort)
-        assert _same_bits(got, axis.shapley_bbox(pts).values)
+        assert _same_bits(got, _bbox_reference(pts, _airport_one_sort))
+
+
+# (solver, its argument from a (2^16, 2) point set, peak bound): the peak
+# traced allocation of a call, in n-length float arrays.  The solvers read
+# 3.50 (values, the sort order, one buffer and the recurrence's blocks)
+# and 4.50 for the perimeters (one more buffer); each bound is 0.25 above.
+_MEMORY_CASES = [
+    ("airport", shapley_airport, lambda p: np.abs(p[:, 0]) + 1.0, 3.75),
+    ("interval-length", shapley_interval_length, lambda p: p[:, 0].copy(), 3.75),
+    ("area-band", shapley_area_band, lambda p: p, 3.75),
+    ("bbox-perimeter", shapley_bbox_perimeter, lambda p: p, 4.75),
+    ("anchored-bbox-perimeter", shapley_anchored_bbox_perimeter, lambda p: p, 4.75),
+]
+
+
+@pytest.mark.parametrize("solver,arg,peak_bound", [c[1:] for c in _MEMORY_CASES], ids=[c[0] for c in _MEMORY_CASES])
+def test_one_d_memory(solver, arg, peak_bound):
+    """A 1-D solver's traced peak stays within its bound, and after the
+    call only the values array (1.00) is still held, within 0.25."""
+    n = 1 << 16
+    x = arg(np.random.default_rng(16).uniform(-50.0, 50.0, (n, 2)))
+    solver(x)  # any first-call set-up is not the solver's to count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sv = solver(x)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sv.values.size == n
+    assert (peak - base) / (8 * n) <= peak_bound
+    assert (held - base) / (8 * n) <= 1.25

@@ -213,6 +213,17 @@ def test_far_from_origin(solver):
     assert_close(solver(pts + 1e6).values, solver(pts).values, rel=1e-9)
 
 
+@pytest.mark.parametrize("shift", [1e5, 1e6, 1e8])
+def test_area_total_far_from_origin(shift):
+    # The shoelace total, like the values, must see only coordinate
+    # differences: far from the origin it keeps its digits and its sum.
+    pts = np.random.default_rng(0).uniform(-5.0, 5.0, (40, 2))
+    total = shapley_hull_area(pts).game_total
+    sv = shapley_hull_area(pts + shift)
+    assert abs(sv.game_total - total) <= 1e-9 * total
+    assert abs(sv.efficiency_residual) <= 1e-12 * sv.game_total
+
+
 @pytest.mark.parametrize("n", [7, 64, 301])
 def test_block_size_does_not_change_results(monkeypatch, n):
     pts = np.random.default_rng(n).uniform(-50.0, 50.0, (n, 2))
