@@ -26,8 +26,8 @@ from .errors import (
     GeneralPositionError,
     SizeLimitError,
 )
-from .games import GAME_KINDS
-from .instances import CHAIN_GAMES, random_chain, random_instance, verification_suite
+from .games import GAME_KINDS, GAMES, check_game
+from .instances import random_chain, random_instance, verification_suite
 from .rowtext import row_texts
 
 EXIT_OK = 0
@@ -467,7 +467,7 @@ def cmd_verify(args):
         worst = {}
         for n in range(args.nmin, args.nmax + 1):
             instances = verification_suite(game, rng, n, args.instances)
-            if args.chains and game in CHAIN_GAMES:
+            if args.chains and GAMES[game].chains:
                 instances = [
                     random_chain(rng, n, increasing=bool(k % 2))
                     for k in range(args.instances)
@@ -494,21 +494,6 @@ def cmd_verify(args):
     print("VERIFY PASSED")
     return EXIT_OK
 
-
-_DEFAULT_BENCH_SIZES = {
-    "hull-area": "1000,2000,4000,8000",
-    "hull-perimeter": "1000,2000,4000,8000",
-    "disk-area": "40,80,160",
-    "disk-perimeter": "40,80,160",
-    "anchored-rects": "4096,8192,16384,32768,65536",
-    "anchored-bbox-area": "4096,8192,16384,32768",
-    "bbox-area": "4096,8192,16384,32768",
-    "airport": "65536,131072,262144",
-    "interval-length": "65536,131072,262144",
-    "area-band": "65536,131072,262144",
-    "bbox-perimeter": "65536,131072,262144",
-    "anchored-bbox-perimeter": "65536,131072,262144",
-}
 
 # The oracles' series, inside their size guards, for any game.
 _ORACLE_BENCH_SIZES = {"oracle-perm": "7,8,9,10", "oracle-subset": "16,18,20,22"}
@@ -540,9 +525,7 @@ def cmd_bench(args):
     solvers, are timed and fitted as two series."""
     games_list = _games_from_arg(args.games)
     default = _ORACLE_BENCH_SIZES.get(args.algorithm)
-    sizes_of = {
-        g: _bench_sizes(args.sizes or default or _DEFAULT_BENCH_SIZES[g]) for g in games_list
-    }
+    sizes_of = {g: _bench_sizes(args.sizes or default or GAMES[g].bench_sizes) for g in games_list}
     kinds = [(None, None)]
     if args.chain:
         kinds = [("increasing-chain", True), ("decreasing-chain", False)]
@@ -575,12 +558,9 @@ def cmd_bench(args):
 def _games_from_arg(arg):
     if arg in (None, "all"):
         return list(GAME_KINDS)
-    out = []
-    for g in arg.split(","):
-        g = g.strip()
-        if g not in GAME_KINDS:
-            raise DomainError(f"unknown game {g!r}")
-        out.append(g)
+    out = [g.strip() for g in arg.split(",")]
+    for g in out:
+        check_game(g)
     return out
 
 

@@ -1,8 +1,9 @@
-"""Game-to-algorithm registry used by the CLI and the verification harness.
+"""Resolve a (game, algorithm) pair to a solver, for the CLI and the
+verification harness.
 
-The tables name each solver by module and function, and ``solver_for``
-imports only the module that serves the requested pair, so a process that
-solves one game loads no other game's engine.
+The rows of ``games.GAMES`` name each solver by module and function, and
+``solver_for`` imports only the module that serves the requested pair, so
+a process that solves one game loads no other game's engine.
 """
 
 from __future__ import annotations
@@ -13,35 +14,6 @@ from . import games
 from .errors import DomainError
 
 ALGORITHM_NAMES = ("auto", "fast", "quadratic", "naive", "oracle-perm", "oracle-subset")
-
-# game -> (module, function, keyword arguments after the points).
-_FAST = {
-    "hull-area": ("hull", "shapley_hull_area", {}),
-    "hull-perimeter": ("hull", "shapley_hull_perimeter", {}),
-    "disk-area": ("disk", "shapley_disk", {"measure": "area"}),
-    "disk-perimeter": ("disk", "shapley_disk", {"measure": "perimeter"}),
-    "anchored-rects": ("axis", "shapley_anchored_rects", {}),
-    "bbox-area": ("axis", "shapley_bbox", {}),
-    "anchored-bbox-area": ("axis", "shapley_anchored_bbox", {}),
-    "airport": ("dispatch", "_airport", {}),
-    "interval-length": ("dispatch", "_interval", {}),
-    "area-band": ("games", "shapley_area_band", {}),
-    "bbox-perimeter": ("games", "shapley_bbox_perimeter", {}),
-    "anchored-bbox-perimeter": ("games", "shapley_anchored_bbox_perimeter", {}),
-}
-
-_QUADRATIC = {
-    "anchored-rects": ("axis", "shapley_anchored_rects_quadratic", {}),
-    "bbox-area": ("axis", "shapley_bbox_quadratic", {}),
-    "anchored-bbox-area": ("axis", "shapley_anchored_bbox_quadratic", {}),
-}
-
-_NAIVE = {
-    "hull-area": ("hull", "shapley_hull_area_naive", {}),
-    "hull-perimeter": ("hull", "shapley_hull_perimeter", {"naive": True}),
-    "disk-area": ("disk", "shapley_disk", {"measure": "area", "minus_mode": "direct"}),
-    "disk-perimeter": ("disk", "shapley_disk", {"measure": "perimeter", "minus_mode": "direct"}),
-}
 
 
 def _airport(pts):
@@ -68,32 +40,25 @@ def solver_for(game, algorithm):
     games.check_game(game)
     if algorithm not in ALGORITHM_NAMES:
         raise DomainError(f"unknown algorithm {algorithm!r}")
-    if algorithm in ("auto", "fast"):
-        return _load(_FAST[game])
-    if algorithm == "quadratic":
-        if game not in _QUADRATIC:
-            raise DomainError(f"no quadratic baseline for game {game!r}")
-        return _load(_QUADRATIC[game])
-    if algorithm == "naive":
-        if game not in _NAIVE:
-            raise DomainError(f"no naive variant for game {game!r}")
-        return _load(_NAIVE[game])
-    from . import oracle
+    if algorithm.startswith("oracle-"):
+        from . import oracle
 
-    if algorithm == "oracle-perm":
-        return lambda p: oracle.shapley_by_permutations(game, p)
-    return lambda p: oracle.shapley_by_subsets(game, p)
+        if algorithm == "oracle-perm":
+            return lambda p: oracle.shapley_by_permutations(game, p)
+        return lambda p: oracle.shapley_by_subsets(game, p)
+    entry = getattr(games.GAMES[game], "fast" if algorithm == "auto" else algorithm)
+    if entry is None:
+        kind = "baseline" if algorithm == "quadratic" else "variant"
+        raise DomainError(f"no {algorithm} {kind} for game {game!r}")
+    return _load(entry)
 
 
 def algorithms_for(game, n):
     """All algorithm names applicable to a game at instance size n."""
     from .oracle import PERMUTATION_LIMIT, SUBSET_LIMIT
 
-    out = ["fast"]
-    if game in _QUADRATIC:
-        out.append("quadratic")
-    if game in _NAIVE:
-        out.append("naive")
+    row = games.GAMES[game]
+    out = ["fast"] + [a for a in ("quadratic", "naive") if getattr(row, a)]
     if n <= PERMUTATION_LIMIT:
         out.append("oracle-perm")
     if n <= SUBSET_LIMIT:

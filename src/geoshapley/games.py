@@ -1,5 +1,9 @@
 """The twelve coalitional games and their closed-form solvers.
 
+GAMES is the game table: one row per game, naming its solvers and how its
+random instances and bench series are drawn.  Every other list of the
+games is read from it.
+
 Every game assigns to a coalition Q of points a nonnegative geometric
 measure v(Q), with v(empty) = 0.  The five 1-D-reducible games (airport,
 interval length, area band, and the two box perimeters) have O(n log n)
@@ -12,26 +16,64 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
 from .errors import DomainError
 
-GAME_KINDS = (
-    "hull-area",
-    "hull-perimeter",
-    "disk-area",
-    "disk-perimeter",
-    "anchored-rects",
-    "bbox-area",
-    "anchored-bbox-area",
-    "airport",
-    "interval-length",
-    "area-band",
-    "bbox-perimeter",
-    "anchored-bbox-perimeter",
-)
+
+class Game(NamedTuple):
+    """One row of the game table.
+
+    A solver is a (module, function, keyword arguments after the points)
+    triple, so that resolving a row imports only the module that serves
+    it; None where the game has no solver of that kind.
+    """
+
+    bench_sizes: str  # the default `bench` series
+    fast: tuple
+    quadratic: tuple | None = None
+    naive: tuple | None = None
+    domain: str = "plane"  # of random instances: "line+" (x > 0, y = 0), "anchored" or "plane"
+    chains: bool = False  # the fast solver detects chains, so verification mixes them in
+
+
+_HULL, _DISK = "1000,2000,4000,8000", "40,80,160"
+_BOX, _LINE = "4096,8192,16384,32768", "65536,131072,262144"
+
+GAMES = {
+    "hull-area": Game(_HULL, ("hull", "shapley_hull_area", {}),
+                      naive=("hull", "shapley_hull_area_naive", {})),
+    "hull-perimeter": Game(_HULL, ("hull", "shapley_hull_perimeter", {}),
+                           naive=("hull", "shapley_hull_perimeter", {"naive": True})),
+    "disk-area": Game(_DISK, ("disk", "shapley_disk", {"measure": "area"}),
+                      naive=("disk", "shapley_disk", {"measure": "area", "minus_mode": "direct"})),
+    "disk-perimeter": Game(
+        _DISK, ("disk", "shapley_disk", {"measure": "perimeter"}),
+        naive=("disk", "shapley_disk", {"measure": "perimeter", "minus_mode": "direct"}),
+    ),
+    "anchored-rects": Game(
+        "4096,8192,16384,32768,65536", ("axis", "shapley_anchored_rects", {}),
+        ("axis", "shapley_anchored_rects_quadratic", {}), domain="anchored", chains=True,
+    ),
+    "bbox-area": Game(_BOX, ("axis", "shapley_bbox", {}), ("axis", "shapley_bbox_quadratic", {}),
+                      chains=True),
+    "anchored-bbox-area": Game(
+        _BOX, ("axis", "shapley_anchored_bbox", {}),
+        ("axis", "shapley_anchored_bbox_quadratic", {}), domain="anchored", chains=True,
+    ),
+    "airport": Game(_LINE, ("dispatch", "_airport", {}), domain="line+"),
+    "interval-length": Game(_LINE, ("dispatch", "_interval", {})),
+    "area-band": Game(_LINE, ("games", "shapley_area_band", {})),
+    "bbox-perimeter": Game(_LINE, ("games", "shapley_bbox_perimeter", {})),
+    "anchored-bbox-perimeter": Game(_LINE, ("games", "shapley_anchored_bbox_perimeter", {}),
+                                    domain="anchored"),
+}
+
+GAME_KINDS = tuple(GAMES)
+
 
 @dataclass
 class ShapleyVector:
@@ -50,7 +92,7 @@ class ShapleyVector:
 
 
 def check_game(game):
-    if game not in GAME_KINDS:
+    if game not in GAMES:
         raise DomainError(f"unknown game kind {game!r}")
 
 

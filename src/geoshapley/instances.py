@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .games import GAMES
+
 # Chains draw both coordinates uniformly from [_CHAIN_LOW, _CHAIN_HIGH).
 _CHAIN_LOW, _CHAIN_HIGH = 0.1, 100.0
 
-# The rank-space games, whose fast solvers detect chains.
-CHAIN_GAMES = ("anchored-rects", "bbox-area", "anchored-bbox-area")
-
-# Every _CHAIN_EVERY-th instance of a verification suite of a rank-space
-# game is a chain.
+# Every _CHAIN_EVERY-th instance of a verification suite of a game whose
+# fast solver detects chains is a chain.
 _CHAIN_EVERY = 5
 
 
@@ -29,15 +28,15 @@ def random_chain(rng, n, increasing=True):
 
 
 def random_instance(game, rng, n, chain=False):
-    """One random instance suited to the game's domain constraints."""
-    if game == "airport":
+    """One random instance in the game's domain (see games.Game); a chain
+    is centred on the origin unless the domain is anchored."""
+    domain = GAMES[game].domain
+    if domain == "line+":
         return np.column_stack([rng.uniform(0.5, 100.0, n), np.zeros(n)])
     if chain:
         pts = random_chain(rng, n, increasing=bool(rng.integers(2)))
-        if game == "bbox-area":
-            return pts - pts.mean(axis=0)
-        return pts
-    if game in ("anchored-rects", "anchored-bbox-area", "anchored-bbox-perimeter"):
+        return pts if domain == "anchored" else pts - pts.mean(axis=0)
+    if domain == "anchored":
         # mix of one-quadrant and all-quadrant instances
         if rng.integers(2):
             return rng.uniform(0.1, 100.0, (n, 2))
@@ -48,7 +47,8 @@ def random_instance(game, rng, n, chain=False):
 
 
 def verification_suite(game, rng, n, count):
-    """A batch of instances; the rank-space games mix in chains periodically."""
-    chainable = game in CHAIN_GAMES
+    """A batch of instances, mixing in chains periodically for the games
+    whose fast solver detects them."""
+    chainable = GAMES[game].chains
     for k in range(count):
         yield random_instance(game, rng, n, chain=chainable and k % _CHAIN_EVERY == _CHAIN_EVERY - 1)

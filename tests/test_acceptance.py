@@ -485,16 +485,17 @@ def _timed(fn, pts):
     return time.perf_counter() - t0
 
 
-def _fit_slope(fn, sizes, gen):
+def _fit_slope(fn, sizes, gen, steadied=2):
     """Slope of log time against log n.  An untimed warm-up call comes
-    first, and each of the two smallest sizes takes the least of three
-    calls: a slow first call would otherwise flatten the fit."""
+    first, and each of the `steadied` smallest sizes takes the least of
+    three calls: a slow first call would otherwise flatten the fit, and a
+    series of short calls is tipped by one slow call at any size."""
     ts = []
     for k, n in enumerate(sizes):
         pts = gen(n)
         if k == 0:
             fn(pts)
-        ts.append(min(_timed(fn, pts) for _ in range(3 if k < 2 else 1)))
+        ts.append(min(_timed(fn, pts) for _ in range(3 if k < steadied else 1)))
     return float(np.polyfit(np.log(sizes), np.log(ts), 1)[0]), ts
 
 
@@ -515,6 +516,7 @@ def test_criterion_8_empirical_complexity():
         shapley_anchored_rects,
         [16384, 32768, 65536, 131072],
         lambda n: random_chain(rng, n, increasing=False),
+        steadied=4,
     )
     elapsed = time.perf_counter() - t0
     ok = (

@@ -111,18 +111,19 @@ class TestCompute:
 
     def test_algorithm_not_available_exit_2(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
-        path.write_text("1\n2\n")
-        code, _, err = run(
-            capsys,
-            "compute",
-            "--game",
-            "airport",
-            "--algorithm",
-            "quadratic",
-            "--input",
-            str(path),
-        )
-        assert code == 2
+        path.write_text("1,3\n2,5\n4,2\n")
+        for game, algorithm, message in [
+            ("airport", "quadratic", "no quadratic baseline for game 'airport'"),
+            ("hull-area", "quadratic", "no quadratic baseline for game 'hull-area'"),
+            ("airport", "naive", "no naive variant for game 'airport'"),
+            ("bbox-area", "naive", "no naive variant for game 'bbox-area'"),
+        ]:
+            code, out, err = run(
+                capsys, "compute", "--game", game, "--algorithm", algorithm, "--input", str(path)
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error (validation): {message}\n"
 
     def test_json_input(self, tmp_path, capsys):
         path = tmp_path / "pts.json"

@@ -1,9 +1,11 @@
 """Every top-level def and class in src/geoshapley has a use in src/
 besides the package's export table: code that only tests reach belongs in
-tests/."""
+tests/.  And the game table is the only list of the games in src/."""
 
 import ast
 import os
+
+from geoshapley.games import GAME_KINDS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "geoshapley")
 
@@ -11,11 +13,19 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 ALLOWED = {"enumerate_bases"}
 
 
-def test_every_top_level_name_has_a_use():
-    defined, used = [], set()
+# The game table and eval_characteristic; the oracle's reference formulas.
+LISTS_GAMES = {"games.py", "oracle.py"}
+
+
+def _modules():
     for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
         with open(os.path.join(SRC, module)) as fh:
-            tree = ast.parse(fh.read())
+            yield module, ast.parse(fh.read())
+
+
+def test_every_top_level_name_has_a_use():
+    defined, used = [], set()
+    for module, tree in _modules():
         defined += [
             (module, node.name)
             for node in tree.body
@@ -33,3 +43,24 @@ def test_every_top_level_name_has_a_use():
                 used.add(node.value)  # the dispatch tables name solvers as strings
     unused = [f"{module}: {name}" for module, name in defined if name not in used | ALLOWED]
     assert not unused, "top-level names with no use in src/: " + ", ".join(unused)
+
+
+def test_games_listed_only_in_the_table():
+    """No tuple, list, set or dict display outside LISTS_GAMES holds two or
+    more game names: every other list of the games is read from
+    games.GAMES."""
+    lists = []
+    for module, tree in _modules():
+        if module in LISTS_GAMES:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                items = node.elts
+            elif isinstance(node, ast.Dict):
+                items = [*node.keys, *node.values]
+            else:
+                continue
+            names = [e.value for e in items if isinstance(e, ast.Constant) and e.value in GAME_KINDS]
+            if len(names) >= 2:
+                lists.append(f"{module}:{node.lineno} {names}")
+    assert not lists, "lists of games outside the game table: " + "; ".join(lists)
