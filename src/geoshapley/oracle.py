@@ -205,7 +205,8 @@ def _hull_edges(game, pts):
     need = bits[ei] | bits[ej]
     cover = need | (rules_out[ei, ej] * bits).sum(axis=1)
     if game == "hull-area":
-        value = 0.5 * (pts[ei, 0] * pts[ej, 1] - pts[ej, 0] * pts[ei, 1])
+        q = d[0]  # p - p_0: shoelace terms from differences keep their digits far out
+        value = 0.5 * (q[ei, 0] * q[ej, 1] - q[ej, 0] * q[ei, 1])
     else:
         value = np.hypot(d[ei, ej, 0], d[ei, ej, 1])
     return cover, need, value

@@ -917,12 +917,13 @@ def test_non_finite_coordinates_exit_2(tmp_path, capsys, game, text):
 # and line lines are those of the per-subset coalition table, which the
 # batched table matches bit for bit.  The hull, disk and anchored-rects lines
 # are those of the batched table, whose sums run in another order; the hull
-# lines are those of its edge terms scattered in order of free points.  The
-# disk naive lines are those of the direct path summed per block of bases.
+# lines are those of its edge terms scattered in order of free points, the
+# hull-area terms taken from differences to the first point.  The disk
+# naive lines are those of the direct path summed per block of bases.
 _GOLDEN_VERIFY = """\
-hull-area fast max_discrepancy=1.598e-15 PASS
-hull-area naive max_discrepancy=1.598e-15 PASS
-hull-area oracle-subset max_discrepancy=1.598e-15 PASS
+hull-area fast max_discrepancy=1.420e-15 PASS
+hull-area naive max_discrepancy=1.420e-15 PASS
+hull-area oracle-subset max_discrepancy=1.420e-15 PASS
 hull-perimeter fast max_discrepancy=1.393e-15 PASS
 hull-perimeter naive max_discrepancy=1.703e-15 PASS
 hull-perimeter oracle-subset max_discrepancy=1.548e-15 PASS

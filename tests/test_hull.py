@@ -13,7 +13,7 @@ from geoshapley.hull import (
     shapley_hull_area_naive,
     shapley_hull_perimeter,
 )
-from geoshapley.oracle import shapley_by_permutations
+from geoshapley.oracle import shapley_by_permutations, shapley_by_subsets
 
 from conftest import assert_close, random_plane_points
 from permcount import prob_sandwich
@@ -205,11 +205,19 @@ class TestGeneralPosition:
         assert exc.value.offending == ((262, 275, 291),)
 
 
-@pytest.mark.parametrize("solver", [shapley_hull_area, shapley_hull_perimeter])
-def test_far_from_origin(solver):
+@pytest.mark.parametrize(
+    "solver, n",
+    [
+        (shapley_hull_area, 40),
+        (shapley_hull_perimeter, 40),
+        (lambda pts: shapley_by_subsets("hull-area", pts), 12),
+    ],
+    ids=["shapley_hull_area", "shapley_hull_perimeter", "shapley_by_subsets"],
+)
+def test_far_from_origin(solver, n):
     # Only coordinate differences may enter: a shift by 1e6 must not move
     # the values by more than rounding the shifted input does.
-    pts = np.random.default_rng(0).uniform(-5.0, 5.0, (40, 2))
+    pts = np.random.default_rng(0).uniform(-5.0, 5.0, (n, 2))
     assert_close(solver(pts + 1e6).values, solver(pts).values, rel=1e-9)
 
 
