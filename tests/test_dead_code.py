@@ -40,7 +40,7 @@ def test_every_top_level_name_has_a_use():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)  # the dispatch tables name solvers as strings
+                used.add(node.value)  # the game table names solvers as strings
     unused = [f"{module}: {name}" for module, name in defined if name not in used | ALLOWED]
     assert not unused, "top-level names with no use in src/: " + ", ".join(unused)
 
