@@ -10,30 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
 
+def convolve(a, b, size):
+    """Row-wise cyclic convolution via real FFT.
 
-def convolve(a, b, size=None):
-    """Linear convolution c_k = sum_i a_i * b_{k-i} via real FFT.
-
-    Inputs are padded to the next power of two covering len(a)+len(b)-1.
-    Given `size`, a and b are 2-D arrays of at most `size` columns, and
-    row r of the result is the cyclic convolution of their rows r,
+    a and b are 2-D arrays of at most `size` columns, and row r of the
+    result is the cyclic convolution of their rows r,
     c_k = sum_i a_i * b_{(k-i) mod size}, k = 0 .. size-1: one batch of
-    real FFTs covers every row.
+    real FFTs covers every row.  At size >= len(a) + len(b) - 1 this is the
+    linear convolution, zero-padded.
     """
-    if size is not None:
-        fa = np.fft.rfft(a, size, axis=1)
-        fa *= np.fft.rfft(b, size, axis=1)
-        return np.fft.irfft(fa, size, axis=1)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
-        raise DomainError("convolve expects two nonempty 1-D arrays")
-    out_len = a.size + b.size - 1
-    if min(a.size, b.size) <= 32:
-        return np.convolve(a, b)
-    size = 1 << (out_len - 1).bit_length()
-    fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    return np.fft.irfft(fa * fb, size)[:out_len]
+    fa = np.fft.rfft(a, size, axis=1)
+    fa *= np.fft.rfft(b, size, axis=1)
+    return np.fft.irfft(fa, size, axis=1)

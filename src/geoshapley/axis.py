@@ -35,7 +35,7 @@ from .errors import (
     DomainError,
     GeneralPositionError,
 )
-from .games import ShapleyVector, _airport_family
+from .games import ShapleyVector, _airport_family, _airport_phi
 
 
 class GridArrangement:
@@ -85,11 +85,10 @@ def _band_rows(n):
 
 
 def _ar_increasing(grid):
-    n = grid.n
-    areas = grid.x[1:] * grid.y[1:]
-    z = np.diff(np.concatenate([[0.0], areas])) / (n - np.arange(n))
-    out = np.zeros(n + 1)
-    out[1:] = np.cumsum(z)
+    """Increasing chain: the airport game on the areas x_i * y_i."""
+    out = np.zeros(grid.n + 1)
+    np.multiply(grid.x[1:], grid.y[1:], out=out[1:])
+    _airport_phi(out[1:])
     return out
 
 
@@ -466,13 +465,14 @@ def _abb_decreasing(grid):
     # and H[a] = sum_{j >= n-a+2} h_j / (2n + 2 - a - j); the 1/k arrays are
     # truncated so the convolution index range enforces each restriction.
     # Both inputs are 1-based sequences stored 0-based: the entry for
-    # "i + k = m" sits at flat index m - 2.
+    # "i + k = m" sits at flat index m - 2.  Each cyclic size covers the
+    # linear length len(a) + len(b) - 1, so nothing folds.
     from .algebra import convolve
 
     u1 = 1.0 / np.arange(1, n)  # 1/k for k = 1 .. n-1
-    conv_w = np.convolve(w, u1) if n <= 64 else convolve(w, u1)
+    conv_w = convolve(w[None], u1[None], 1 << (2 * n - 3).bit_length())[0]
     u2 = 1.0 / np.arange(1, n + 1)  # 1/k for k = 1 .. n
-    conv_h = np.convolve(h, u2) if n <= 64 else convolve(h, u2)
+    conv_h = convolve(h[None], u2[None], 1 << (2 * n - 2).bit_length())[0]
 
     # NW sums mu_a = mu_{a+1} + col part + row part, a = n-1 .. 1, and SE
     # sums eta_a = eta_{a-1} + col part + row part, a = 2 .. n: one running

@@ -46,21 +46,6 @@ class DiskBasis:
     level: int
 
 
-def rho_basis(size, level):
-    """Probability that med of the points before p has exactly this basis:
-    |B|! / ((level+|B|) ... (level+1) level).  Requires level >= 1."""
-    if level < 1:
-        raise DomainError("rho_basis requires level >= 1")
-    return math.factorial(size) / math.prod(range(level, level + size + 1))
-
-
-def rho_prime_basis(size, level):
-    """Probability that p closes this basis: (|B|-1)! / ((level+|B|) ... (level+1))."""
-    if level < 0:
-        raise DomainError("rho_prime_basis requires level >= 0")
-    return math.factorial(size - 1) / math.prod(range(level + 1, level + size + 1))
-
-
 class _Sweep(NamedTuple):
     """Pair bases (i, j) and the pencils through them, for all j > i.
 
@@ -199,6 +184,27 @@ def _pencils(i, js, r2, num, g, ends, corners):
     return const_out, order, t, side, acute, level, radius
 
 
+def _bases(pts):
+    """Yield, per first endpoint i, i and its bases as arrays
+    (support, centre - pts[i], radius, level): the pairs (i, j), j > i,
+    then the acute triples that the pencils of those pairs report first,
+    those whose third point follows j.  Triples are in (j, sweep) order."""
+    for sw in _sweeps(pts):
+        i, js = sw.i, sw.js
+        seg = pts[js] - pts[i]
+        k, s = np.nonzero(sw.acute & (sw.order > js[:, None]))
+        u = np.stack([-seg[k, 1], seg[k, 0]], axis=1) / np.hypot(seg[k, 0], seg[k, 1])[:, None]
+        yield i, (
+            (np.column_stack([np.full(js.size, i), js]), 0.5 * seg, sw.pair_radius, sw.pair_level),
+            (
+                np.column_stack([np.full(k.size, i), js[k], sw.order[k, s]]),
+                0.5 * seg[k] + sw.t[k, s][:, None] * u,
+                sw.radius[k, s],
+                sw.level[k, s],
+            ),
+        )
+
+
 def enumerate_bases(points):
     """All bases with their levels.
 
@@ -209,35 +215,25 @@ def enumerate_bases(points):
     """
     pts = geometry.as_points(points)
     pairs, triples = [], []
-    for sw in _sweeps(pts):
-        i = sw.i
-        for k, j in enumerate(sw.js.tolist()):
-            center = tuple(0.5 * (pts[i] + pts[j]))
-            disk = Disk(center, float(sw.pair_radius[k]))
-            pairs.append(DiskBasis((i, j), disk, int(sw.pair_level[k])))
-            for s in np.nonzero(sw.acute[k] & (sw.order[k] > j))[0]:
-                third = int(sw.order[k, s])
-                disk = Disk(_circumcenter(pts, i, j, sw.t[k, s]), float(sw.radius[k, s]))
-                triples.append(DiskBasis((i, j, third), disk, int(sw.level[k, s])))
+    for i, bases in _bases(pts):
+        for found, (support, centre, radius, level) in zip((pairs, triples), bases):
+            found += [
+                DiskBasis(tuple(b), Disk(tuple(c), r), lv)
+                for b, c, r, lv in zip(
+                    support.tolist(), (centre + pts[i]).tolist(), radius.tolist(), level.tolist()
+                )
+            ]
     return pairs + triples
-
-
-def _circumcenter(pts, i, j, t):
-    m = 0.5 * (pts[i] + pts[j])
-    seg = pts[j] - pts[i]
-    norm = math.hypot(seg[0], seg[1])
-    u = np.array([-seg[1], seg[0]]) / norm
-    c = m + t * u
-    return (float(c[0]), float(c[1]))
 
 
 def shapley_disk(points, measure="area", minus_mode="pencil"):
     """Shapley values of the enclosing-disk game for the given measure.
 
     ``minus_mode="pencil"`` is the fast path: per-pencil prefix sums.
-    ``"direct"`` is an independent O(n^4) cross-check that shares only the
-    basis enumeration: every basis adds its rho'-weighted measure to its
-    support and its rho-weighted measure to every point outside its disk.
+    ``"direct"`` is an O(n^4) cross-check that shares the basis listing and
+    the rho weights: every basis adds its rho'-weighted measure to its
+    support and its rho-weighted measure to every point outside its disk,
+    tested against the basis's own centre and radius.
     """
     if measure not in _MEASURES:
         raise DomainError(f"measure must be one of {_MEASURES}")
@@ -305,45 +301,23 @@ _DIRECT_BLOCK = 1 << 16
 def _shapley_direct(pts, meas_of):
     """O(n^4) reference: every basis against every point.
 
-    The bases are those enumerate_bases lists, taken sweep by sweep as
-    arrays: the sweep's pairs, then the acute triples it reports first.
-    Each basis adds w * rho' to its support and -w * rho to every point
-    whose squared distance to the basis's own centre exceeds its squared
-    radius, the support excepted; rho and rho' come from rho_basis and
-    rho_prime_basis.  The sweep's outside masks and sums are not used.
+    The bases come from _bases, as for enumerate_bases.  Each basis adds
+    w * rho' to its support and -w * rho to every point whose squared
+    distance to the basis's own centre exceeds its squared radius, the
+    support excepted; rho and rho' are the pencil path's games.rho and
+    games.rho_prime.  The sweep's outside masks and sums are not used.
     Centres and points are taken relative to pts[i], as in the sweep.
     """
     n = pts.shape[0]
-    rho_of = {b: np.array([rho_basis(b, lv) if lv else 0.0 for lv in range(n)]) for b in (2, 3)}
-    rho_prime_of = {b: np.array([rho_prime_basis(b, lv) for lv in range(n)]) for b in (2, 3)}
     phi = np.zeros(n)
-    for sw in _sweeps(pts):
-        i = sw.i
+    for i, bases in _bases(pts):
         rel = pts - pts[i]
-        k, s = np.nonzero(sw.acute & (sw.order > sw.js[:, None]))
-        j = sw.js[k]
-        seg = rel[j]
-        u = np.stack([-seg[:, 1], seg[:, 0]], axis=1) / np.hypot(seg[:, 0], seg[:, 1])[:, None]
-        bases = (
-            (
-                np.column_stack([np.full(sw.js.size, i), sw.js]),
-                0.5 * rel[sw.js],
-                sw.pair_radius,
-                sw.pair_level,
-            ),
-            (
-                np.column_stack([np.full(k.size, i), j, sw.order[k, s]]),
-                0.5 * seg + sw.t[k, s][:, None] * u,
-                sw.radius[k, s],
-                sw.level[k, s],
-            ),
-        )
         for support, center, radius, level in bases:
             size = support.shape[1]
             w = meas_of(radius)
-            w_plus = np.repeat(w * rho_prime_of[size][level], size)
+            w_plus = np.repeat(w * rho_prime(size, level), size)
             phi += np.bincount(support.ravel(), w_plus, minlength=n)
-            w_minus = w * rho_of[size][level]
+            w_minus = w * rho(size, level)
             step = max(1, _DIRECT_BLOCK // n)
             for lo in range(0, w.size, step):
                 c = center[lo : lo + step]

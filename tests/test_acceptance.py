@@ -294,7 +294,6 @@ def test_criterion_5_probability_validation():
         if abs(prob_sandwich(alpha, beta) - float(exact)) > 1e-12:
             failures.append(f"sandwich({alpha},{beta}) float")
 
-    from geoshapley.disk import rho_basis, rho_prime_basis
     from geoshapley.games import rho, rho_prime
 
     for size in (2, 3):
@@ -304,16 +303,6 @@ def test_criterion_5_probability_validation():
         for level in (0, 1, 2, 3):
             if abs(rho_prime(size, level) - float(prob_sandwich_exact(level, size - 1))) > 1e-12:
                 failures.append(f"rho' size={size} level={level}")
-    for size in (2, 3):
-        for level in (1, 2, 3):
-            if abs(rho_basis(size, level) - float(prob_sandwich_exact(level - 1, size))) > 1e-12:
-                failures.append(f"disk rho(B) size={size} level={level}")
-        for level in (0, 1, 2, 3):
-            if (
-                abs(rho_prime_basis(size, level) - float(prob_sandwich_exact(level, size - 1)))
-                > 1e-12
-            ):
-                failures.append(f"disk rho'(B) size={size} level={level}")
 
     # First-of-set ordering probabilities, enumerated exactly over <= 8
     # labeled elements.
@@ -489,13 +478,16 @@ def _fit_slope(fn, sizes, gen, steadied=2):
     """Slope of log time against log n.  An untimed warm-up call comes
     first, and each of the `steadied` smallest sizes takes the least of
     three calls: a slow first call would otherwise flatten the fit, and a
-    series of short calls is tipped by one slow call at any size."""
-    ts = []
-    for k, n in enumerate(sizes):
-        pts = gen(n)
-        if k == 0:
-            fn(pts)
-        ts.append(min(_timed(fn, pts) for _ in range(3 if k < steadied else 1)))
+    series of short calls is tipped by one slow call at any size.  The
+    calls go in rounds over the sizes, so that a slow stretch of the host
+    slows every size alike instead of tilting the fit."""
+    inputs = [gen(n) for n in sizes]
+    fn(inputs[0])
+    ts = [math.inf] * len(sizes)
+    for r in range(3):
+        for k, pts in enumerate(inputs):
+            if r == 0 or k < steadied:
+                ts[k] = min(ts[k], _timed(fn, pts))
     return float(np.polyfit(np.log(sizes), np.log(ts), 1)[0]), ts
 
 

@@ -12,6 +12,7 @@ from geoshapley.axis import (
     shapley_bbox_quadratic,
 )
 from geoshapley.errors import AxisDegeneracyError, DomainError, GeneralPositionError
+from geoshapley.games import shapley_airport
 from geoshapley.oracle import shapley_by_permutations
 
 from conftest import assert_close, random_points
@@ -119,6 +120,14 @@ class TestAnchoredRects:
             q = shapley_anchored_rects_quadratic(ch)
             assert_close(c.values, q.values, rel=1e-9)
             assert_close(g.values, q.values, rel=1e-9)
+
+    def test_increasing_chain_is_airport_on_areas(self, rng):
+        # the anchored rectangles of an increasing chain nest, so the game
+        # is the airport game on the areas x * y, bit for bit
+        for n in (1, 2, 7, 500, 20_000):
+            ch = make_chain(rng, n)
+            got = shapley_anchored_rects(ch).values
+            assert np.array_equal(got, shapley_airport(ch[:, 0] * ch[:, 1]).values)
 
     def test_direct_series_mode_matches(self, rng, monkeypatch):
         pts = random_points(rng, 300)

@@ -9,7 +9,7 @@ from geoshapley.games import GAME_KINDS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "geoshapley")
 
-# The public, demoed view of disk._sweeps' bases, which test_disk reads.
+# The public, demoed view of disk._bases, which test_disk reads.
 ALLOWED = {"enumerate_bases"}
 
 
@@ -64,3 +64,21 @@ def test_games_listed_only_in_the_table():
             if len(names) >= 2:
                 lists.append(f"{module}:{node.lineno} {names}")
     assert not lists, "lists of games outside the game table: " + "; ".join(lists)
+
+
+def test_convolutions_only_in_algebra():
+    """np.fft and np.convolve appear only in algebra.py, so every
+    convolution goes through algebra.convolve."""
+    calls = []
+    for module, tree in _modules():
+        if module == "algebra.py":
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("fft", "convolve")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                calls.append(f"{module}:{node.lineno} np.{node.attr}")
+    assert not calls, "convolutions outside algebra.py: " + ", ".join(calls)

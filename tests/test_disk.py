@@ -4,19 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from geoshapley.disk import (
-    DiskBasis,
-    enumerate_bases,
-    rho_basis,
-    rho_prime_basis,
-    shapley_disk,
-)
+from geoshapley.disk import enumerate_bases, shapley_disk
 from geoshapley.errors import DomainError, GeneralPositionError
 from geoshapley.geometry import min_enclosing_disk
 from geoshapley.oracle import shapley_by_permutations, shapley_by_subsets
 
 from conftest import assert_close, on_circle, random_plane_points
-from permcount import prob_sandwich
 
 
 def brute_bases(pts):
@@ -45,33 +38,6 @@ def brute_bases(pts):
                     )
                     found[(i, j, k)] = lv3
     return found
-
-
-class TestRhoBasis:
-    def test_matches_sandwich_probability(self):
-        # rho(B) is the sandwich probability with beta = |B|, alpha = level-1
-        for size in (2, 3):
-            for level in range(1, 5):
-                assert_close(
-                    rho_basis(size, level), prob_sandwich(level - 1, size), rel=1e-12
-                )
-
-    def test_rho_prime_is_sandwich_with_smaller_before_set(self):
-        # p closes the basis: |B|-1 members before p, level points after.
-        for size in (2, 3):
-            for level in range(0, 5):
-                assert_close(
-                    rho_prime_basis(size, level),
-                    prob_sandwich(level, size - 1) / 1.0 * 1.0
-                    if False
-                    else math.factorial(size - 1)
-                    / math.prod(range(level + 1, level + size + 1)),
-                    rel=1e-12,
-                )
-
-    def test_level_zero_rejected(self):
-        with pytest.raises(DomainError):
-            rho_basis(2, 0)
 
 
 class TestEnumerateBases:

@@ -71,7 +71,8 @@ class TestLevels:
 
 
 class TestRho:
-    """The hull's weights are games.rho and games.rho_prime at size 2."""
+    """The weights of the hull (size 2) and the disk (sizes 2 and 3) are
+    games.rho and games.rho_prime."""
 
     def test_paper_values(self):
         assert_close(rho(2, 1), 1 / 3, rel=1e-15)
@@ -83,9 +84,16 @@ class TestRho:
         for level in range(1, 6):
             assert_close(rho(2, level), prob_sandwich(level - 1, 2), rel=1e-12)
 
+    def test_rho_3_matches_sandwich(self):
+        # a triple basis: beta=3 points before p, alpha=level-1 after it
+        for level in range(1, 6):
+            assert_close(rho(3, level), prob_sandwich(level - 1, 3), rel=1e-12)
+
     def test_rho_prime_matches_sandwich(self):
-        for level in range(0, 6):
-            assert_close(rho_prime(2, level), prob_sandwich(level, 1), rel=1e-12)
+        # p closes the basis: size-1 members before p, level points after
+        for size in (2, 3):
+            for level in range(0, 6):
+                assert_close(rho_prime(size, level), prob_sandwich(level, size - 1), rel=1e-12)
 
     def test_rho_zero_level_weighs_nothing(self):
         assert rho(2, 0) == 0.0
