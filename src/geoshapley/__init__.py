@@ -28,7 +28,6 @@ _EXPORTS = {
     ),
     "disk": ("DiskBasis", "enumerate_bases", "shapley_disk"),
     "errors": (
-        "AxisDegeneracyError",
         "ConsistencyError",
         "DomainError",
         "GeneralPositionError",

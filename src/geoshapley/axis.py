@@ -2,13 +2,19 @@
 anchored bounding box, and bounding box.
 
 Everything happens in rank space.  For a point set in the closed positive
-quadrant with distinct nonzero coordinates, the grid lines through the
-points and the axes cut the plane into cells c_{i,j} of size w_i x h_j,
-and the per-cell quadrant counts ne/nw/se determine each cell's
-contribution weight:
+quadrant, the grid lines through the points and the axes cut the plane
+into cells c_{i,j} of size w_i x h_j, and the per-cell quadrant counts
+ne/nw/se determine each cell's contribution weight:
 
   anchored rectangles:  area(c) / ne(c)                 summed over c in R_p
   anchored bounding box: area(c) * psi_*(c)             summed per quadrant class
+
+Every finite input is accepted, ties and points on the axes included.
+Tied coordinates take consecutive ranks in index order.  A cell of
+positive size lies strictly between distinct coordinates, where rank
+order is coordinate order, so its counts are those of the plane; a tie
+only gives some cells width or height 0, and no formula changes.  Tied
+symmetric players get equal values up to rounding.
 
 The fast engines never enumerate cells.  Within an empty block the counts
 shift uniformly from slab to slab, so the per-slab sums are evaluations
@@ -29,23 +35,18 @@ import math
 import numpy as np
 
 from . import geometry
-from .errors import (
-    AxisDegeneracyError,
-    ConsistencyError,
-    DomainError,
-    GeneralPositionError,
-)
+from .errors import ConsistencyError, DomainError
 from .games import ShapleyVector, _airport_family, _airport_phi
 
 
 class GridArrangement:
     """The cell grid of a point set in the closed positive quadrant.
 
-    Coordinates are stored rank-side: x[0] = 0 <= x[1] < ... < x[n] (and the
-    same for y), widths w[i] = x[i] - x[i-1] (index 0 unused), and Y[i] is
-    the y rank of the point with x rank i.  Points on an axis share the
-    coordinate 0 there and take the lowest ranks in index order, as columns
-    of width 0 or rows of height 0; any other shared coordinate is rejected.
+    Coordinates are stored rank-side: x[0] = 0 <= x[1] <= ... <= x[n] (and
+    the same for y), widths w[i] = x[i] - x[i-1] (index 0 unused), and Y[i]
+    is the y rank of the point with x rank i.  Tied coordinates, 0 on an
+    axis among them, take consecutive ranks in index order, as columns of
+    width 0 or rows of height 0.
     """
 
     def __init__(self, points):
@@ -53,8 +54,6 @@ class GridArrangement:
         if np.any(pts < 0):
             raise DomainError("grid points must lie in the closed positive quadrant")
         n = pts.shape[0]
-        # zeros become distinct negatives, so only other ties are reported
-        geometry.check_distinct_coords(np.where(pts == 0.0, -1.0 - np.arange(n)[:, None], pts))
         order = np.argsort(pts[:, 0], kind="stable")
         xs = pts[order, 0]
         ys_sorted = np.sort(pts[:, 1], kind="stable")
@@ -381,7 +380,7 @@ def _ar_quadratic(grid):
     h = grid.h[1:]
     for i in range(1, n + 1):
         ne_col = np.cumsum(cnt[::-1])[::-1][1 : n + 1]
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on a zero-width column
             wcol = np.where(ne_col >= 1, grid.w[i] * h / ne_col, 0.0)
         run[1:] += np.cumsum(wcol)
         out[i] = run[grid.Y[i]]
@@ -598,20 +597,13 @@ def _solve_regions(pts, engines, method, both):
     players have no positive x or no positive y has empty boxes and is
     skipped.
     """
-    if np.any(pts == 0.0):
-        raise AxisDegeneracyError("point lies exactly on a coordinate axis")
     values = np.zeros(pts.shape[0])
     for signs in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
         pos = pts * signs > 0
         sel = np.nonzero(pos.all(axis=1) if both else pos.any(axis=1))[0]
         if not pos[sel].any(axis=0).all():
             continue
-        try:
-            values[sel] += _solve_grid(np.maximum(pts[sel] * signs, 0.0), engines, method)
-        except GeneralPositionError as exc:
-            raise GeneralPositionError(
-                str(exc), offending=[tuple(int(sel[k]) for k in t) for t in exc.offending]
-            ) from None
+        values[sel] += _solve_grid(np.maximum(pts[sel] * signs, 0.0), engines, method)
     return values
 
 
@@ -619,11 +611,11 @@ def shapley_anchored_rects(points, method="fast"):
     """Shapley values of the anchored-rectangles game.
 
     The game splits across quadrants (each quadrant is reflected to the
-    positive one), so only points in the same quadrant must have distinct
-    coordinates.  ``method``: "fast" detects chains and uses the
-    near-linear chain solvers, falling back to the sqrt-band engine;
-    "general" forces the band engine; "quadratic" runs the per-cell
-    baseline.
+    positive one); a point on an axis has an empty rectangle, so it is a
+    null player and in no quadrant's grid.  ``method``: "fast" detects
+    chains and uses the near-linear chain solvers, falling back to the
+    sqrt-band engine; "general" forces the band engine; "quadratic" runs
+    the per-cell baseline.
     """
     _check_method(method)
     pts = geometry.as_points(points)
@@ -671,14 +663,13 @@ def shapley_bbox(points, method="fast"):
                     + W * H
 
     Each corner game is an anchored-bbox instance with all points in one
-    closed quadrant (the one or two points realizing an extreme coordinate
-    land exactly on an axis, which the rank-space engines absorb as a
-    zero-width column or row); each band term is an airport game on
+    closed quadrant (the points realizing an extreme coordinate land
+    exactly on an axis, which the rank-space engines absorb as zero-width
+    columns or rows); each band term is an airport game on
     reflected coordinates; the constant splits evenly.
     """
     _check_method(method)
     pts = geometry.as_points(points)
-    geometry.check_distinct_coords(pts)
     n = pts.shape[0]
     x = pts[:, 0]
     y = pts[:, 1]

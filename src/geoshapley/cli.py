@@ -520,9 +520,11 @@ def _timed(solver, pts):
 
 def cmd_bench(args):
     """Per game, the least of three timed calls at each size after one
-    untimed warm-up call, and the slope of log time against log n.  With
-    --chain, increasing and decreasing chains, which take different
-    solvers, are timed and fitted as two series."""
+    untimed warm-up call, and the slope of log time against log n.  The
+    calls go in three rounds over the sizes, so that a slow stretch of the
+    host slows every size alike instead of tilting the fit.  With --chain,
+    increasing and decreasing chains, which take different solvers, are
+    timed and fitted as two series."""
     games_list = _games_from_arg(args.games)
     default = _ORACLE_BENCH_SIZES.get(args.algorithm)
     sizes_of = {g: _bench_sizes(args.sizes or default or GAMES[g].bench_sizes) for g in games_list}
@@ -535,19 +537,18 @@ def cmd_bench(args):
         ns = sizes_of[game]
         for kind, increasing in kinds:
             label = f"{game}:{kind}" if kind else game
-            ts = []
-            for n in ns:
-                # a fresh generator per size, so that every size of a series
-                # draws the same input shape (positive quadrant or plane)
-                rng = np.random.default_rng(args.seed)
-                if kind is None:
-                    pts = random_instance(game, rng, n)
-                else:
-                    pts = random_chain(rng, n, increasing)
-                if not ts:
-                    solver(pts)
-                ts.append(min(_timed(solver, pts) for _ in range(3)))
-                out_lines.append(f"{label},{args.algorithm},{n},{ts[-1]:.6f}")
+            # a fresh generator per size, so that every size of a series
+            # draws the same input shape (positive quadrant or plane)
+            inputs = [
+                random_instance(game, np.random.default_rng(args.seed), n)
+                if kind is None
+                else random_chain(np.random.default_rng(args.seed), n, increasing)
+                for n in ns
+            ]
+            solver(inputs[0])
+            rounds = [[_timed(solver, pts) for pts in inputs] for _ in range(3)]
+            ts = [min(col) for col in zip(*rounds)]
+            out_lines += [f"{label},{args.algorithm},{n},{t:.6f}" for n, t in zip(ns, ts)]
             if len(ns) >= 2:
                 slope = float(np.polyfit(np.log(ns), np.log(ts), 1)[0])
                 out_lines.append(f"# slope,{label},{args.algorithm},{slope:.4f}")

@@ -10,17 +10,12 @@ class DomainError(GeoShapleyError):
 
 
 class GeneralPositionError(DomainError):
-    """A general-position assumption (collinearity, cocircularity,
-    coordinate ties, diametral conflicts) does not hold."""
+    """A general-position assumption of the hull or disk engine
+    (collinearity, cocircularity, diametral conflicts) does not hold."""
 
     def __init__(self, message, offending=()):
         super().__init__(message)
         self.offending = tuple(offending)
-
-
-class AxisDegeneracyError(DomainError):
-    """A point lies exactly on a coordinate axis where the quadrant
-    decomposition requires strict membership."""
 
 
 class SizeLimitError(GeoShapleyError):

@@ -257,9 +257,12 @@ def _airport_family(x, kind, a, b):
 
 
 def _line(coords):
-    """Coerce 1-D input to a flat float64 array of at least one finite
-    coordinate."""
-    x = np.asarray(coords, dtype=float).reshape(-1)
+    """Coerce 1-D input, a vector or one column, to a flat float64 array of
+    at least one finite coordinate."""
+    x = np.asarray(coords, dtype=float)
+    if x.ndim > 2 or (x.ndim == 2 and x.shape[1] != 1):
+        raise DomainError(f"expected one coordinate per player, got shape {x.shape}")
+    x = x.reshape(-1)
     if x.size < 1:
         raise DomainError("need at least one player")
     if not np.all(np.isfinite(x)):

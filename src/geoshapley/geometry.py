@@ -7,11 +7,10 @@ Degenerate input is rejected, never silently perturbed.
 There is no separate general-position pass.  Each engine checks the
 assumptions its own algorithm needs, where it needs them, and raises
 ``GeneralPositionError`` with the offending input-index tuples: the hull
-engine rejects (near-)collinear triples, the disk engine rejects points on
-the diametral circle of a pair and cocircular ties that involve a basis
-triple, and the axis engines reject shared coordinates
-(``check_distinct_coords``).  The brute-force oracles accept degenerate
-input.
+engine rejects (near-)collinear triples, and the disk engine rejects
+points on the diametral circle of a pair and cocircular ties that involve
+a basis triple.  The rank-space axis engines and the brute-force oracles
+accept every finite input.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeneralPositionError
+from .errors import DomainError
 
 # The one degeneracy rule of the hull and disk engines: a tested value is
 # degenerate when |value| <= DEGENERACY_TOL * scale, the scale built from
@@ -47,21 +46,6 @@ def as_points(points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise DomainError("point coordinates must be finite")
     return pts
-
-
-def check_distinct_coords(pts):
-    """Reject points that share an x or a y coordinate.
-
-    The offending pairs are the tied neighbours of a stable sort along
-    each axis, x ties first, each pair in increasing index order.
-    """
-    bad = []
-    for axis in (0, 1):
-        order = np.argsort(pts[:, axis], kind="stable")
-        vals = pts[order, axis]
-        bad += [(int(order[k]), int(order[k + 1])) for k in np.nonzero(vals[1:] == vals[:-1])[0]]
-    if bad:
-        raise GeneralPositionError("two points share an x or y coordinate", offending=bad)
 
 
 def orientation(a, b, c):

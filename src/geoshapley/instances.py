@@ -1,8 +1,8 @@
 """Random instance generators for verification and benchmarking.
 
-Uniform coordinates in a box are almost surely in general position at
-double precision, so the generators draw without rejection; the few
-draws that land near a coordinate axis are pushed off it.
+The generators draw uniform coordinates without rejection: the hull and
+disk engines reject only sets that uniform draws almost surely avoid,
+and the other engines accept every finite input.
 """
 
 from __future__ import annotations
@@ -36,13 +36,8 @@ def random_instance(game, rng, n, chain=False):
     if chain:
         pts = random_chain(rng, n, increasing=bool(rng.integers(2)))
         return pts if domain == "anchored" else pts - pts.mean(axis=0)
-    if domain == "anchored":
-        # mix of one-quadrant and all-quadrant instances
-        if rng.integers(2):
-            return rng.uniform(0.1, 100.0, (n, 2))
-        pts = rng.uniform(-50.0, 50.0, (n, 2))
-        pts[np.abs(pts) < 1e-3] += 0.01  # stay clear of the axes
-        return pts
+    if domain == "anchored" and rng.integers(2):
+        return rng.uniform(0.1, 100.0, (n, 2))  # one quadrant; else all four
     return rng.uniform(-50.0, 50.0, (n, 2))
 
 

@@ -11,9 +11,9 @@ from geoshapley.axis import (
     shapley_bbox,
     shapley_bbox_quadratic,
 )
-from geoshapley.errors import AxisDegeneracyError, DomainError, GeneralPositionError
+from geoshapley.errors import DomainError
 from geoshapley.games import shapley_airport
-from geoshapley.oracle import shapley_by_permutations
+from geoshapley.oracle import shapley_by_permutations, shapley_by_subsets
 
 from conftest import assert_close, random_points
 from rational_series import RationalStepSeries, direct_batched_eval, direct_rational_eval
@@ -44,6 +44,27 @@ def make_chain(rng, n, inc=True, low=0.1, high=10.0):
     return np.column_stack([x, y])
 
 
+def tie_heavy_sets(rng):
+    """Sets of n <= 12 with shared coordinates and points on the axes:
+    integer grids in one quadrant and around the origin, tied chains of
+    both orientations, repeated points, rounded x, and coordinates set to
+    0 with the origin among them."""
+    sets = []
+    for n in (4, 8, 12):
+        sets += [rng.integers(lo, 4, (n, 2)).astype(float) for lo in (0, -3)]
+        x, y = (np.sort(rng.integers(1, 4, n)).astype(float) for _ in "xy")
+        sets += [np.column_stack([x, y]), np.column_stack([x, y[::-1]])]
+        sets.append(rng.uniform(-5.0, 5.0, (n // 2, 2))[rng.integers(0, n // 2, n)])
+        p = rng.uniform(-5.0, 5.0, (n, 2))
+        p[:, 0] = np.round(p[:, 0])
+        sets.append(p)
+        p = rng.uniform(-5.0, 5.0, (n, 2))
+        p[rng.uniform(size=(n, 2)) < 0.3] = 0.0
+        p[0] = 0.0
+        sets.append(p)
+    return sets
+
+
 class TestGridArrangement:
     def test_ranks_and_widths(self):
         g = GridArrangement([(2, 1), (1, 3)])
@@ -51,10 +72,12 @@ class TestGridArrangement:
         assert_close(g.w[1:], [1, 1])
         assert_close(g.h[1:], [1, 2])
 
-    def test_tie_rejected(self):
-        with pytest.raises(GeneralPositionError) as exc:
-            GridArrangement([(1, 1), (2, 1), (1, 3)])
-        assert exc.value.offending == ((0, 2), (0, 1))
+    def test_ties_take_consecutive_ranks(self):
+        g = GridArrangement([(1, 1), (2, 1), (1, 3)])
+        x_rank, y_rank = ranks(g)
+        assert list(x_rank) == [1, 3, 2] and list(y_rank) == [1, 2, 3]
+        assert g.w[2] == 0 and g.w[3] == 1
+        assert g.h[2] == 0 and g.h[3] == 2
 
     def test_axis_points_take_lowest_ranks(self):
         g = GridArrangement([(0, 1), (0, 2), (1, 3)])
@@ -87,15 +110,20 @@ class TestAnchoredRects:
         assert_close(sv.values, [1.5, 1.5])
         assert_close(sv.game_total, 3.0)
 
-    def test_axis_point_rejected(self):
-        with pytest.raises(AxisDegeneracyError):
-            shapley_anchored_rects([(0, 1), (1, 1)])
+    def test_axis_point_is_null(self):
+        # the rectangle of a point on an axis is empty
+        sv = shapley_anchored_rects([(0, 1), (1, 1), (2, 0), (0, 0)])
+        assert_close(sv.values, [0.0, 1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("method", ["fast", "general", "quadratic"])
     def test_matches_oracle(self, rng, method):
         for n in (2, 3, 5, 7, 8):
             pts = random_points(rng, n)
             o = shapley_by_permutations("anchored-rects", pts)
+            sv = shapley_anchored_rects(pts, method=method)
+            assert_close(sv.values, o.values, rel=1e-9)
+        for pts in tie_heavy_sets(rng):
+            o = shapley_by_subsets("anchored-rects", pts)
             sv = shapley_anchored_rects(pts, method=method)
             assert_close(sv.values, o.values, rel=1e-9)
 
@@ -177,6 +205,10 @@ class TestAnchoredBBox:
             o = shapley_by_permutations("anchored-bbox-area", pts)
             sv = shapley_anchored_bbox(pts, method=method)
             assert_close(sv.values, o.values, rel=1e-9)
+        for pts in tie_heavy_sets(rng):
+            o = shapley_by_subsets("anchored-bbox-area", pts)
+            sv = shapley_anchored_bbox(pts, method=method)
+            assert_close(sv.values, o.values, rel=1e-9)
 
     def test_mixed_quadrants_match_oracle(self, rng):
         for n in (2, 4, 6, 8):
@@ -224,11 +256,15 @@ class TestBBox:
             o = shapley_by_permutations("bbox-area", pts)
             sv = shapley_bbox(pts, method=method)
             assert_close(sv.values, o.values, rel=1e-9)
+        for pts in tie_heavy_sets(rng):
+            o = shapley_by_subsets("bbox-area", pts)
+            sv = shapley_bbox(pts, method=method)
+            assert_close(sv.values, o.values, rel=1e-9)
 
-    def test_tie_rejected(self):
-        with pytest.raises(GeneralPositionError) as exc:
-            shapley_bbox([(0, 0), (0, 1), (1, 2)])
-        assert exc.value.offending == ((0, 1),)
+    def test_tie_matches_oracle(self):
+        pts = [(2, 1), (3, 4), (5, 1)]
+        assert_close(shapley_bbox(pts).values, [1.5, 4.5, 3.0])
+        assert_close(shapley_by_permutations("bbox-area", pts).values, [1.5, 4.5, 3.0])
 
     def test_chain_routing_matches_quadratic(self, rng):
         ch = make_chain(rng, 300, inc=False) * np.array([1.0, -1.0])
@@ -249,18 +285,27 @@ class TestBBox:
 
 
 class TestGeneralPosition:
-    def test_shared_x_coordinate(self):
-        for solver in (shapley_anchored_rects, shapley_anchored_bbox, shapley_bbox):
-            with pytest.raises(GeneralPositionError) as exc:
-                solver([(1, 2), (1, 3), (2, 5)])
-            assert exc.value.offending == ((0, 1),), solver.__name__
+    """The rank-space games need no general position."""
 
-    def test_region_tie_named_by_input_index(self):
-        # (-1, -1) is a null player of the north-east region, whose own
-        # points (1, 2) and (1, 3) are its local pair (0, 1)
-        with pytest.raises(GeneralPositionError) as exc:
-            shapley_anchored_bbox([(-1, -1), (1, 2), (1, 3)])
-        assert exc.value.offending == ((1, 2),)
+    def test_shared_x_coordinate(self):
+        pts = [(1, 2), (1, 3), (2, 5)]
+        for game, solver in (
+            ("anchored-rects", shapley_anchored_rects),
+            ("anchored-bbox-area", shapley_anchored_bbox),
+            ("bbox-area", shapley_bbox),
+        ):
+            o = shapley_by_permutations(game, pts)
+            for method in ("fast", "quadratic"):
+                assert_close(solver(pts, method=method).values, o.values, rel=1e-9)
+
+    @pytest.mark.parametrize("solver", [shapley_anchored_rects, shapley_anchored_bbox, shapley_bbox])
+    def test_repeated_points_get_equal_values(self, rng, solver):
+        base = rng.uniform(-5.0, 5.0, (30, 2))
+        pts = base[rng.integers(0, 30, 300)]
+        values = solver(pts).values
+        _, first, group = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+        tol = 1e-12 * np.max(np.abs(values))
+        assert_close(values, values[first[group.ravel()]], rel=0.0, abs_floor=tol)
 
 
 SOLVERS = {
@@ -277,13 +322,15 @@ class TestMetamorphic:
     of the region loop."""
 
     @pytest.mark.parametrize("method", ["fast", "quadratic"])
-    @pytest.mark.parametrize("shape", ["plane-9", "plane-200", "chain"])
+    @pytest.mark.parametrize("shape", ["plane-9", "plane-200", "chain", "grid-40"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("game", list(SOLVERS))
     def test_transforms(self, game, seed, shape, method):
         rng = np.random.default_rng(seed)
         if shape == "chain":
             pts = make_chain(rng, 200, inc=seed % 2 == 0)
+        elif shape == "grid-40":
+            pts = rng.integers(-5, 6, (40, 2)).astype(float)
         else:
             pts = rng.uniform(-5.0, 5.0, (int(shape[6:]), 2))
 
@@ -383,18 +430,30 @@ class TestChainBoundaries:
     @pytest.mark.parametrize("inc", [True, False], ids=["increasing", "decreasing"])
     @pytest.mark.parametrize("game", ["anchored-rects", "anchored-bbox"])
     def test_wide_range_chains_match_quadratic(self, game, inc):
-        # Coordinates from 1e-6 to 1e6 in geometric steps of about 1.4%,
-        # each moved by a relative jitter of at most 1e-4: the head sums of
-        # the chain engines are twelve orders of magnitude below the tail.
+        # Three profiles, in each of which the head sums of the chain
+        # engines are orders of magnitude below the tail, so a running sum
+        # that cancels loses the head:
+        # - coordinates from 1e-6 to 1e6 in geometric steps of about 1.4%,
+        #   each moved by a relative jitter of at most 1e-4;
+        # - widths shrinking from 1e6 to 1e-6 while heights grow from 1e-6
+        #   to 1e6;
+        # - uniform widths while heights grow from 1e-6 to 1e6.
         rng = np.random.default_rng(12)
         n = 2048
-        x, y = (np.geomspace(1e-6, 1e6, n) * (1.0 + 1e-4 * rng.uniform(-1.0, 1.0, n)) for _ in "xy")
-        ch = np.column_stack([x, y if inc else y[::-1]])
+        jittered = (np.geomspace(1e-6, 1e6, n) * (1.0 + 1e-4 * rng.uniform(-1.0, 1.0, n)) for _ in "xy")
+        growing = np.cumsum(np.geomspace(1e-6, 1e6, n))
+        profiles = [
+            tuple(jittered),
+            (np.cumsum(np.geomspace(1e6, 1e-6, n)), growing),
+            (np.arange(1.0, n + 1.0), growing),
+        ]
         fast, quadratic = {
             "anchored-rects": (shapley_anchored_rects, shapley_anchored_rects_quadratic),
             "anchored-bbox": (shapley_anchored_bbox, shapley_anchored_bbox_quadratic),
         }[game]
-        assert_close(fast(ch).values, quadratic(ch).values, rel=1e-9, abs_floor=0.0)
+        for x, y in profiles:
+            ch = np.column_stack([x, y if inc else y[::-1]])
+            assert_close(fast(ch).values, quadratic(ch).values, rel=1e-9, abs_floor=0.0)
 
 
 def band_staircase(rng, n):

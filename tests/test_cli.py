@@ -197,11 +197,6 @@ DEGENERATE = [
     ("hull-perimeter", [(0, 0), (1000, 0), (2000, 1.5e-9), (500, 700)], (0, 1, 2)),
     ("disk-area", [(0, 0), (2, 0), (1, 1)], (0, 1, 2)),
     ("disk-perimeter", on_circle([0.3, 1.4, 2.9, 4.4]), (0, 1, 2, 3)),
-    # The tie sits in the south-east quadrant, whose region-local pair
-    # (0, 1) names input points (2, 3).
-    ("anchored-rects", [(-1, 2), (2, 1), (3, -4), (5, -4)], (2, 3)),
-    ("anchored-bbox-area", [(1, 2), (1, 3), (2, 5)], (0, 1)),
-    ("bbox-area", [(2, 1), (3, 4), (5, 1)], (0, 2)),
 ]
 
 
@@ -232,7 +227,7 @@ class TestGeneralPosition:
         expected = {
             "hull-area": (0, ""),
             "disk-area": (2, "offending=[(0, 1, 2)]"),
-            "bbox-area": (2, "offending=[(0, 2), (0, 1)]"),
+            "bbox-area": (0, ""),
         }
         for game, (want_code, want_err) in expected.items():
             code, _, err = run(capsys, "compute", "--game", game, "--input", path)
@@ -249,8 +244,19 @@ class TestGeneralPosition:
             ),
             # Points 0 and 1 share x = 1 but lie in different quadrants.
             ("anchored-rects", [(1, 2), (1, -3), (4, 5), (-2, 0.5)]),
+            # Shared coordinates, which the rank-space games accept: a tie
+            # inside the south-east quadrant, a shared x, a shared y.
+            ("anchored-rects", [(-1, 2), (2, 1), (3, -4), (5, -4)]),
+            ("anchored-bbox-area", [(1, 2), (1, 3), (2, 5)]),
+            ("bbox-area", [(2, 1), (3, 4), (5, 1)]),
         ],
-        ids=["disk-area-short-arc", "anchored-rects-split-tie"],
+        ids=[
+            "disk-area-short-arc",
+            "anchored-rects-split-tie",
+            "anchored-rects-tie",
+            "anchored-bbox-area-tie",
+            "bbox-area-tie",
+        ],
     )
     def test_no_longer_rejected(self, tmp_path, capsys, game, pts):
         path = _write_points(tmp_path / "in.csv", pts)
@@ -1173,8 +1179,9 @@ class TestBench:
 
     @pytest.mark.parametrize("chain", [False, True])
     def test_series_and_calls(self, capsys, monkeypatch, chain):
-        """One untimed warm-up call and three timed calls per size; chains
-        of each orientation are timed over all sizes and fitted apart."""
+        """One untimed warm-up call, then three rounds of one timed call
+        per size; chains of each orientation are timed over all sizes and
+        fitted apart."""
         calls = []
         solver_for = cli.solver_for
 
@@ -1182,7 +1189,7 @@ class TestBench:
             solver = solver_for(game, algorithm)
 
             def solve(pts):
-                calls.append(bool(pts[-1, 1] > pts[0, 1]))
+                calls.append((len(pts), bool(pts[-1, 1] > pts[0, 1])))
                 return solver(pts)
 
             return solve
@@ -1191,12 +1198,13 @@ class TestBench:
         argv = ["bench", "--games", "anchored-rects", "--sizes", "64,128,256"]
         code, out, _ = run(capsys, *argv, *(["--chain"] if chain else []))
         assert code == 0
+        sizes = [64] + [64, 128, 256] * 3
         if chain:
             labels = ["anchored-rects:increasing-chain", "anchored-rects:decreasing-chain"]
-            assert calls == [True] * 10 + [False] * 10
+            assert calls == [(n, True) for n in sizes] + [(n, False) for n in sizes]
         else:
             labels = ["anchored-rects"]
-            assert len(calls) == 10
+            assert [n for n, _ in calls] == sizes
         lines = out.splitlines()
         for label in labels:
             rows = [line.split(",") for line in lines if line.startswith(label + ",")]

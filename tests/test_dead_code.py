@@ -1,6 +1,7 @@
 """Every top-level def and class in src/geoshapley has a use in src/
 besides the package's export table: code that only tests reach belongs in
-tests/.  And the game table is the only list of the games in src/."""
+tests/.  Every import is used.  And the game table is the only list of
+the games in src/."""
 
 import ast
 import os
@@ -43,6 +44,27 @@ def test_every_top_level_name_has_a_use():
                 used.add(node.value)  # the game table names solvers as strings
     unused = [f"{module}: {name}" for module, name in defined if name not in used | ALLOWED]
     assert not unused, "top-level names with no use in src/: " + ", ".join(unused)
+
+
+def test_every_import_is_used():
+    """Every name a module of src/geoshapley imports, at the top or inside
+    a function, is used in that module; __init__.py, whose imports are its
+    exports, and __future__ imports are exempt."""
+    unused = []
+    for module, tree in _modules():
+        if module == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, "imports with no use: " + ", ".join(sorted(unused))
 
 
 def test_games_listed_only_in_the_table():

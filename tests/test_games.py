@@ -121,6 +121,19 @@ class TestIntervalLength:
             assert_close(sv.values, oracle.values, rel=1e-9)
 
 
+@pytest.mark.parametrize("solver", [shapley_airport, shapley_interval_length])
+class TestLineInput:
+    """The 1-D solvers take a vector or one column, one player per entry."""
+
+    def test_one_column_accepted(self, solver):
+        assert_close(solver(np.array([[1.0], [3.0]])).values, solver([1.0, 3.0]).values)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 1, 1)])
+    def test_more_columns_rejected(self, solver, shape):
+        with pytest.raises(DomainError, match=rf"shape \({shape[0]}, "):
+            solver(np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape))
+
+
 class TestPlanarBasicGames:
     def test_pbb_two_point_symmetry(self):
         sv = shapley_bbox_perimeter([(0, 0), (1, 1)])

@@ -101,15 +101,15 @@ class TestCollectorFreeze:
 
 
 # Every name the package exported when it imported its modules eagerly,
-# with the module that defines it.
+# with the module that defines it, less those in REMOVED.
 PUBLIC = {
     "algebra": ["convolve"],
     "axis": ["GridArrangement", "shapley_anchored_bbox", "shapley_anchored_bbox_quadratic",
              "shapley_anchored_rects", "shapley_anchored_rects_quadratic", "shapley_bbox",
              "shapley_bbox_quadratic"],
     "disk": ["DiskBasis", "enumerate_bases", "shapley_disk"],
-    "errors": ["AxisDegeneracyError", "ConsistencyError", "DomainError",
-               "GeneralPositionError", "GeoShapleyError", "SizeLimitError"],
+    "errors": ["ConsistencyError", "DomainError", "GeneralPositionError", "GeoShapleyError",
+               "SizeLimitError"],
     "games": ["GAME_KINDS", "ShapleyVector", "eval_characteristic", "shapley_airport",
               "shapley_anchored_bbox_perimeter", "shapley_area_band",
               "shapley_bbox_perimeter", "shapley_interval_length"],
@@ -120,11 +120,12 @@ PUBLIC = {
 }
 
 # Names the package no longer exports: the series and probability code
-# that only tests used (now in tests/), and hull's scalar rho and rho'.
+# that only tests used (now in tests/), hull's scalar rho and rho', and
+# AxisDegeneracyError, since the rank-space games accept points on the axes.
 REMOVED = ["RationalStepSeries", "direct_rational_eval", "multipoint_rational_eval",
            "TripleCounts", "prob_first_of_A_before_B_or_C",
            "prob_first_of_B_before_A_after_some_C", "prob_sandwich", "permcount",
-           "rho", "rho_prime"]
+           "rho", "rho_prime", "AxisDegeneracyError"]
 
 
 class TestPublicApi:
