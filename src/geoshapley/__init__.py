@@ -61,6 +61,7 @@ _EXPORTS = {
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from . import geometry
+from . import games, geometry
 from .errors import ConsistencyError, DomainError
 from .games import ShapleyVector, _airport_family, _airport_phi
 
@@ -106,8 +106,6 @@ def _ar_decreasing(grid):
     lie below the one where a is the midpoint.
     """
     n = grid.n
-    if n == 1:
-        return _ar_increasing(grid)
     out = np.zeros(n + 1)
     a = np.arange(1, n + 1)
     size = 1 << n.bit_length()
@@ -552,41 +550,36 @@ def _abb_general(grid):
 # ---------------------------------------------------------------------------
 # Grid solver, sign regions and public entry points.
 
-# The engines of a game's grids: increasing chain, decreasing chain, band,
-# quadratic.  On an increasing chain the anchored bounding box of every
-# coalition coincides with its union of anchored rectangles.
-_AR_ENGINES = (_ar_increasing, _ar_decreasing, _ar_general, _ar_quadratic)
-_ABB_ENGINES = (_ar_increasing, _abb_decreasing, _abb_general, _abb_quadratic)
-
-
-def _check_method(method):
-    if method not in ("fast", "general", "quadratic"):
-        raise DomainError("method must be 'fast', 'general' or 'quadratic'")
-
-
-def _solve_grid(pts, engines, method):
-    """Values, by input index, of the game of the grid of pts: "quadratic"
-    and "general" force those engines, "fast" takes a chain engine on a
-    chain and the band engine otherwise."""
-    increasing, decreasing, general, quadratic = engines
-    grid = GridArrangement(pts)
+def _chain_or_band(grid, decreasing, general):
+    """The values of the grid by x rank: the airport engine on an increasing
+    chain, ``decreasing`` on a decreasing chain, ``general`` otherwise.  On
+    an increasing chain the anchored bounding box of every coalition
+    coincides with its union of anchored rectangles."""
     Y = grid.Y[1:]
-    if method == "quadratic":
-        engine = quadratic
-    elif method == "general":
-        engine = general
-    elif np.array_equal(Y, np.arange(1, grid.n + 1)):
-        engine = increasing
-    elif np.array_equal(Y, np.arange(grid.n, 0, -1)):
-        engine = decreasing
-    else:
-        engine = general
+    if np.array_equal(Y, np.arange(1, grid.n + 1)):
+        return _ar_increasing(grid)
+    if np.array_equal(Y, np.arange(grid.n, 0, -1)):
+        return decreasing(grid)
+    return general(grid)
+
+
+def _ar_fast(grid):
+    return _chain_or_band(grid, _ar_decreasing, _ar_general)
+
+
+def _abb_fast(grid):
+    return _chain_or_band(grid, _abb_decreasing, _abb_general)
+
+
+def _solve_grid(pts, engine):
+    """Values, by input index, of ``engine`` on the grid of pts."""
+    grid = GridArrangement(pts)
     out = np.empty(grid.n)
     out[grid.order] = engine(grid)[1:]
     return out
 
 
-def _solve_regions(pts, engines, method, both):
+def _solve_regions(pts, engine, both):
     """Sum over the four sign regions around the origin of their games.
 
     The region with signs (sx, sy) reflects the points by them.  Its players
@@ -603,57 +596,53 @@ def _solve_regions(pts, engines, method, both):
         sel = np.nonzero(pos.all(axis=1) if both else pos.any(axis=1))[0]
         if not pos[sel].any(axis=0).all():
             continue
-        values[sel] += _solve_grid(np.maximum(pts[sel] * signs, 0.0), engines, method)
+        values[sel] += _solve_grid(np.maximum(pts[sel] * signs, 0.0), engine)
     return values
 
 
-def shapley_anchored_rects(points, method="fast"):
+def _anchored(game, points, engine):
+    """The values of an anchored game from ``engine`` on its sign regions."""
+    pts = geometry.as_points(points)
+    values = _solve_regions(pts, engine, both=game == "anchored-rects")
+    return ShapleyVector(values, games.eval_characteristic(game, pts), game)
+
+
+def shapley_anchored_rects(points):
     """Shapley values of the anchored-rectangles game.
 
     The game splits across quadrants (each quadrant is reflected to the
     positive one); a point on an axis has an empty rectangle, so it is a
-    null player and in no quadrant's grid.  ``method``: "fast" detects
-    chains and uses the near-linear chain solvers, falling back to the
-    sqrt-band engine; "general" forces the band engine; "quadratic" runs
-    the per-cell baseline.
+    null player and in no quadrant's grid.  Chains take the near-linear
+    chain solvers, every other grid the sqrt-band engine.
     """
-    _check_method(method)
-    pts = geometry.as_points(points)
-    values = _solve_regions(pts, _AR_ENGINES, method, both=True)
-    from .games import eval_characteristic
-
-    total = eval_characteristic("anchored-rects", pts)
-    return ShapleyVector(values, total, "anchored-rects")
+    return _anchored("anchored-rects", points, _ar_fast)
 
 
 def shapley_anchored_rects_quadratic(points):
-    return shapley_anchored_rects(points, method="quadratic")
+    """The per-cell baseline of shapley_anchored_rects."""
+    return _anchored("anchored-rects", points, _ar_quadratic)
 
 
-def shapley_anchored_bbox(points, method="fast"):
+def shapley_anchored_bbox(points):
     """Shapley values of the anchored-bounding-box area game.
 
     The box area splits into the four plane quadrants around the origin;
     the regional game for a quadrant projects every point with a positive
     coordinate there onto that closed quadrant (a point behind one axis
     only pushes the box along the other axis, as a column of width 0 or
-    a row of height 0).  ``method`` is as for shapley_anchored_rects.
+    a row of height 0).  Engines as for shapley_anchored_rects.
     """
-    _check_method(method)
-    pts = geometry.as_points(points)
-    values = _solve_regions(pts, _ABB_ENGINES, method, both=False)
-    from .games import eval_characteristic
-
-    total = eval_characteristic("anchored-bbox-area", pts)
-    return ShapleyVector(values, total, "anchored-bbox-area")
+    return _anchored("anchored-bbox-area", points, _abb_fast)
 
 
 def shapley_anchored_bbox_quadratic(points):
-    return shapley_anchored_bbox(points, method="quadratic")
+    """The per-cell baseline of shapley_anchored_bbox."""
+    return _anchored("anchored-bbox-area", points, _abb_quadratic)
 
 
-def shapley_bbox(points, method="fast"):
-    """Shapley values of the bounding-box area game.
+def _bbox(points, engine):
+    """Shapley values of the bounding-box area game, with ``engine`` on the
+    corner games.
 
     Inclusion-exclusion around the four corners of bb(P):
 
@@ -668,14 +657,10 @@ def shapley_bbox(points, method="fast"):
     columns or rows); each band term is an airport game on
     reflected coordinates; the constant splits evenly.
     """
-    _check_method(method)
     pts = geometry.as_points(points)
     n = pts.shape[0]
     x = pts[:, 0]
     y = pts[:, 1]
-    total = float((x.max() - x.min()) * (y.max() - y.min()))
-    if n == 1:
-        return ShapleyVector(np.zeros(1), 0.0, "bbox-area")
     xlo, xhi = float(x.min()), float(x.max())
     ylo, yhi = float(y.min()), float(y.max())
     W = xhi - xlo
@@ -684,13 +669,19 @@ def shapley_bbox(points, method="fast"):
     for cx, sx in ((xlo, 1.0), (xhi, -1.0)):
         for cy, sy in ((ylo, 1.0), (yhi, -1.0)):
             sub = np.column_stack([sx * (x - cx), sy * (y - cy)])
-            values += _solve_grid(sub, _ABB_ENGINES, method)
+            values += _solve_grid(sub, engine)
     a, b = np.empty(n), np.empty(n)
     for side, t, lo, hi in ((H, x, xlo, xhi), (W, y, ylo, yhi)):
         values -= side * _airport_family(hi - t, "airport", a, b)
         values -= side * _airport_family(t - lo, "airport", a, b)
-    return ShapleyVector(values, total, "bbox-area")
+    return ShapleyVector(values, games.eval_characteristic("bbox-area", pts), "bbox-area")
+
+
+def shapley_bbox(points):
+    """Shapley values of the bounding-box area game (see _bbox)."""
+    return _bbox(points, _abb_fast)
 
 
 def shapley_bbox_quadratic(points):
-    return shapley_bbox(points, method="quadratic")
+    """The per-cell baseline of shapley_bbox."""
+    return _bbox(points, _abb_quadratic)

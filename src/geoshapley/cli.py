@@ -423,6 +423,8 @@ def _check_verify_args(args):
         raise DomainError(f"--nmax must be at least --nmin={args.nmin}, got {args.nmax}")
     if args.instances < 1:
         raise DomainError(f"--instances must be at least 1, got {args.instances}")
+    if not 0.0 <= args.tolerance < float("inf"):
+        raise DomainError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
 
 
 def _verify_solutions(game, pts, ref_name, algos):

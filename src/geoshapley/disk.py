@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry
+from . import games, geometry
 from .errors import DomainError, GeneralPositionError
 from .games import ShapleyVector, rho, rho_prime
 from .geometry import DEGENERACY_TOL, Disk
@@ -242,8 +242,7 @@ def shapley_disk(points, measure="area", minus_mode="pencil"):
     pts = geometry.as_points(points)
     n = pts.shape[0]
     game = "disk-area" if measure == "area" else "disk-perimeter"
-    disk, _ = geometry.min_enclosing_disk(pts)
-    total = disk.area if measure == "area" else disk.perimeter
+    total = games.eval_characteristic(game, pts)
     if n == 1:
         return ShapleyVector(np.zeros(1), total, game)
 

@@ -15,6 +15,7 @@ bases live here too, since every engine loads this module.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,6 +39,13 @@ class Game(NamedTuple):
     naive: tuple | None = None
     domain: str = "plane"  # of random instances: "line+" (x > 0, y = 0), "anchored" or "plane"
     chains: bool = False  # the fast solver detects chains, so verification mixes them in
+    # v(Q) from Q's extents lx, hx (x) and ly, hy (y) and the full set's y
+    # extent, on floats or arrays; None where v is not a function of them
+    extent: Callable | None = None
+
+
+def _anchored_width(lo, hi):
+    return np.maximum(hi, 0.0) - np.minimum(lo, 0.0)
 
 
 _HULL, _DISK = "1000,2000,4000,8000", "40,80,160"
@@ -58,18 +66,31 @@ GAMES = {
         "4096,8192,16384,32768,65536", ("axis", "shapley_anchored_rects", {}),
         ("axis", "shapley_anchored_rects_quadratic", {}), domain="anchored", chains=True,
     ),
-    "bbox-area": Game(_BOX, ("axis", "shapley_bbox", {}), ("axis", "shapley_bbox_quadratic", {}),
-                      chains=True),
+    "bbox-area": Game(
+        _BOX, ("axis", "shapley_bbox", {}), ("axis", "shapley_bbox_quadratic", {}), chains=True,
+        extent=lambda lx, hx, ly, hy, band: (hx - lx) * (hy - ly),
+    ),
     "anchored-bbox-area": Game(
         _BOX, ("axis", "shapley_anchored_bbox", {}),
         ("axis", "shapley_anchored_bbox_quadratic", {}), domain="anchored", chains=True,
+        extent=lambda lx, hx, ly, hy, band: _anchored_width(lx, hx) * _anchored_width(ly, hy),
     ),
-    "airport": Game(_LINE, ("dispatch", "_airport", {}), domain="line+"),
-    "interval-length": Game(_LINE, ("dispatch", "_interval", {})),
-    "area-band": Game(_LINE, ("games", "shapley_area_band", {})),
-    "bbox-perimeter": Game(_LINE, ("games", "shapley_bbox_perimeter", {})),
-    "anchored-bbox-perimeter": Game(_LINE, ("games", "shapley_anchored_bbox_perimeter", {}),
-                                    domain="anchored"),
+    "airport": Game(_LINE, ("dispatch", "_airport", {}), domain="line+",
+                    extent=lambda lx, hx, ly, hy, band: hx),
+    "interval-length": Game(_LINE, ("dispatch", "_interval", {}),
+                            extent=lambda lx, hx, ly, hy, band: hx - lx),
+    "area-band": Game(_LINE, ("games", "shapley_area_band", {}),
+                      extent=lambda lx, hx, ly, hy, band: band * (hx - lx)),
+    "bbox-perimeter": Game(
+        _LINE, ("games", "shapley_bbox_perimeter", {}),
+        extent=lambda lx, hx, ly, hy, band: 2.0 * (hx - lx) + 2.0 * (hy - ly),
+    ),
+    "anchored-bbox-perimeter": Game(
+        _LINE, ("games", "shapley_anchored_bbox_perimeter", {}), domain="anchored",
+        extent=lambda lx, hx, ly, hy, band: (
+            2.0 * _anchored_width(lx, hx) + 2.0 * _anchored_width(ly, hy)
+        ),
+    ),
 }
 
 GAME_KINDS = tuple(GAMES)
@@ -146,6 +167,12 @@ def _anchored_union_area(pts):
     return total
 
 
+def check_airport(x):
+    """Reject airport coordinates that are not strictly positive."""
+    if np.any(x <= 0.0):
+        raise DomainError("airport coordinates must be strictly positive")
+
+
 def eval_characteristic(game, q_points, full_points=None):
     """Exact measure v(Q) for a nonempty coalition Q.
 
@@ -155,40 +182,22 @@ def eval_characteristic(game, q_points, full_points=None):
     """
     check_game(game)
     q = geometry.as_points(q_points)
-    x = q[:, 0]
-    y = q[:, 1]
+    extent = GAMES[game].extent
+    if extent is not None:
+        if game == "airport":
+            check_airport(q[:, 0])
+        full = q if full_points is None else geometry.as_points(full_points)
+        band = full[:, 1].max() - full[:, 1].min()
+        x, y = q[:, 0], q[:, 1]
+        return float(extent(x.min(), x.max(), y.min(), y.max(), band))
     if game == "hull-area":
         return geometry.hull_area(geometry.convex_hull(q))
     if game == "hull-perimeter":
         return geometry.hull_perimeter(geometry.convex_hull(q))
-    if game in ("disk-area", "disk-perimeter"):
-        disk, _ = geometry.min_enclosing_disk(q)
-        return disk.area if game == "disk-area" else disk.perimeter
     if game == "anchored-rects":
         return _anchored_union_area(q)
-    if game == "bbox-area":
-        return float((x.max() - x.min()) * (y.max() - y.min()))
-    if game == "anchored-bbox-area":
-        return float(
-            (max(x.max(), 0.0) - min(x.min(), 0.0))
-            * (max(y.max(), 0.0) - min(y.min(), 0.0))
-        )
-    if game == "airport":
-        if np.any(x <= 0.0):
-            raise DomainError("airport game requires strictly positive coordinates")
-        return float(x.max())
-    if game == "interval-length":
-        return float(x.max() - x.min())
-    if game == "area-band":
-        full = q if full_points is None else geometry.as_points(full_points)
-        height = float(full[:, 1].max() - full[:, 1].min())
-        return height * float(x.max() - x.min())
-    if game == "bbox-perimeter":
-        return 2.0 * float(x.max() - x.min()) + 2.0 * float(y.max() - y.min())
-    # anchored-bbox-perimeter
-    return 2.0 * float(max(x.max(), 0.0) - min(x.min(), 0.0)) + 2.0 * float(
-        max(y.max(), 0.0) - min(y.min(), 0.0)
-    )
+    disk, _ = geometry.min_enclosing_disk(q)
+    return disk.area if game == "disk-area" else disk.perimeter
 
 
 # Elements per step of the in-place airport recurrence.
@@ -273,8 +282,7 @@ def _line(coords):
 def shapley_airport(coords):
     """Airport game v(Q) = max(Q) for points on the positive line."""
     x = _line(coords)
-    if np.any(x <= 0.0):
-        raise DomainError("airport coordinates must be strictly positive")
+    check_airport(x)
     values = _airport_family(x, "airport", np.empty(x.size), np.empty(x.size))
     return ShapleyVector(values, float(x.max()), "airport")
 
@@ -294,8 +302,7 @@ def shapley_area_band(points):
     height = float(pts[:, 1].max() - pts[:, 1].min())
     values = _airport_family(pts[:, 0], "interval", np.empty(n), np.empty(n))
     np.multiply(height, values, out=values)
-    total = height * float(pts[:, 0].max() - pts[:, 0].min())
-    return ShapleyVector(values, total, "area-band")
+    return ShapleyVector(values, eval_characteristic("area-band", pts), "area-band")
 
 
 def _box_perimeter(points, kind, game):

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from . import geometry
+from . import games, geometry
 from .errors import GeneralPositionError
 from .games import ShapleyVector, rho, rho_prime
 from .geometry import DEGENERACY_TOL
@@ -127,7 +127,7 @@ def shapley_hull_area(points):
     """
     pts = geometry.as_points(points)
     n = pts.shape[0]
-    total = geometry.hull_area(geometry.convex_hull(pts))
+    total = games.eval_characteristic("hull-area", pts)
     if n <= 2:
         return ShapleyVector(np.zeros(n), total, "hull-area")
     rho_lv = rho(2, np.arange(n - 1))
@@ -164,7 +164,7 @@ def shapley_hull_area_naive(points):
     """Per-point direct evaluation of the pair sum; O(n^3) cross-check."""
     pts = geometry.as_points(points)
     n = pts.shape[0]
-    total = geometry.hull_area(geometry.convex_hull(pts))
+    total = games.eval_characteristic("hull-area", pts)
     if n <= 2:
         return ShapleyVector(np.zeros(n), total, "hull-area")
     rho_tab = rho(2, np.maximum(all_pair_levels(pts), 0))
@@ -181,7 +181,7 @@ def shapley_hull_perimeter(points, naive=False):
     """
     pts = geometry.as_points(points)
     n = pts.shape[0]
-    total = geometry.hull_perimeter(geometry.convex_hull(pts))
+    total = games.eval_characteristic("hull-perimeter", pts)
     if n <= 1:
         return ShapleyVector(np.zeros(n), total, "hull-perimeter")
     if naive:

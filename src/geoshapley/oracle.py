@@ -10,8 +10,8 @@ The table is built with array operations, one formula per game family,
 and calls no engine code:
 
 - box and line games: per-coordinate min and max by doubling over the bits
-  of each block of masks, then the game's float expression (bit-identical
-  to one evaluation per set);
+  of each block of masks, then the game table's extent formula
+  (bit-identical to eval_characteristic on each set);
 - hull games: (i, j) is a ccw edge of S iff no other member of S lies
   strictly right of i->j, or on its line outside the open segment; v sums
   the shoelace terms (area) or the lengths (perimeter) of the edges;
@@ -40,8 +40,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SizeLimitError
-from .games import ShapleyVector, check_game
+from .errors import SizeLimitError
+from .games import GAMES, ShapleyVector, check_airport, check_game
 from .geometry import as_points
 
 PERMUTATION_LIMIT = 10
@@ -88,28 +88,9 @@ def _steps():
     return players, masks
 
 
-def _anchored_width(lo, hi):
-    return np.maximum(hi, 0.0) - np.minimum(lo, 0.0)
-
-
-# v from the per-mask extents lx, hx, ly, hy and the full set's y extent.
-_BOX_VALUES = {
-    "bbox-area": lambda lx, hx, ly, hy, band: (hx - lx) * (hy - ly),
-    "anchored-bbox-area": lambda lx, hx, ly, hy, band: (
-        _anchored_width(lx, hx) * _anchored_width(ly, hy)
-    ),
-    "airport": lambda lx, hx, ly, hy, band: hx,
-    "interval-length": lambda lx, hx, ly, hy, band: hx - lx,
-    "area-band": lambda lx, hx, ly, hy, band: band * (hx - lx),
-    "bbox-perimeter": lambda lx, hx, ly, hy, band: 2.0 * (hx - lx) + 2.0 * (hy - ly),
-    "anchored-bbox-perimeter": lambda lx, hx, ly, hy, band: (
-        2.0 * _anchored_width(lx, hx) + 2.0 * _anchored_width(ly, hy)
-    ),
-}
-
-
-def _box_block(value, pts, start, size):
-    """v over masks start..start+size-1 from per-coordinate extents.
+def _box_block(extent, pts, start, size):
+    """v over masks start..start+size-1 from per-coordinate extents, by the
+    game table's formula ``extent``.
 
     ``size`` is a power of two 2^k and ``start`` a multiple of it: the bits
     at and above k are fixed in the block and seed the extents of its first
@@ -129,7 +110,7 @@ def _box_block(value, pts, start, size):
     if start == 0:
         lo[0] = hi[0] = 0.0  # the empty set: every formula gives 0
     band = float(pts[:, 1].max() - pts[:, 1].min())
-    return value(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], band)
+    return extent(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], band)
 
 
 def _deposit(base, bits):
@@ -278,9 +259,9 @@ def _block_values(game, pts):
     """A function (start, size) -> v for masks start..start+size-1."""
     if game == "anchored-rects":
         return functools.partial(_staircase_block, _anchored_stairs(pts))
-    if game == "airport" and np.any(pts[:, 0] <= 0.0):
-        raise DomainError("airport game requires strictly positive coordinates")
-    return functools.partial(_box_block, _BOX_VALUES[game], pts)
+    if game == "airport":
+        check_airport(pts[:, 0])
+    return functools.partial(_box_block, GAMES[game].extent, pts)
 
 
 def coalition_table(game, points):

@@ -65,6 +65,30 @@ def tie_heavy_sets(rng):
     return sets
 
 
+def band_engine(game):
+    """The anchored game's solver with the band engine on every grid,
+    chains included."""
+    engine = axis._ar_general if game == "anchored-rects" else axis._abb_general
+    return lambda pts: axis._anchored(game, pts, engine)
+
+
+# Each solver of the rank-space games, by game and by the engine it runs
+# on its grids: "fast" detects chains, "general" is the band engine alone.
+ENGINES = {
+    "anchored-rects": {
+        "fast": shapley_anchored_rects,
+        "general": band_engine("anchored-rects"),
+        "quadratic": shapley_anchored_rects_quadratic,
+    },
+    "anchored-bbox": {
+        "fast": shapley_anchored_bbox,
+        "general": band_engine("anchored-bbox-area"),
+        "quadratic": shapley_anchored_bbox_quadratic,
+    },
+    "bbox": {"fast": shapley_bbox, "quadratic": shapley_bbox_quadratic},
+}
+
+
 class TestGridArrangement:
     def test_ranks_and_widths(self):
         g = GridArrangement([(2, 1), (1, 3)])
@@ -120,11 +144,11 @@ class TestAnchoredRects:
         for n in (2, 3, 5, 7, 8):
             pts = random_points(rng, n)
             o = shapley_by_permutations("anchored-rects", pts)
-            sv = shapley_anchored_rects(pts, method=method)
+            sv = ENGINES["anchored-rects"][method](pts)
             assert_close(sv.values, o.values, rel=1e-9)
         for pts in tie_heavy_sets(rng):
             o = shapley_by_subsets("anchored-rects", pts)
-            sv = shapley_anchored_rects(pts, method=method)
+            sv = ENGINES["anchored-rects"][method](pts)
             assert_close(sv.values, o.values, rel=1e-9)
 
     def test_mixed_quadrants_match_oracle(self, rng):
@@ -144,7 +168,7 @@ class TestAnchoredRects:
         for inc in (True, False):
             ch = make_chain(rng, 500, inc)
             c = shapley_anchored_rects(ch)
-            g = shapley_anchored_rects(ch, method="general")
+            g = ENGINES["anchored-rects"]["general"](ch)
             q = shapley_anchored_rects_quadratic(ch)
             assert_close(c.values, q.values, rel=1e-9)
             assert_close(g.values, q.values, rel=1e-9)
@@ -203,11 +227,11 @@ class TestAnchoredBBox:
         for n in (2, 3, 5, 7, 8):
             pts = random_points(rng, n)
             o = shapley_by_permutations("anchored-bbox-area", pts)
-            sv = shapley_anchored_bbox(pts, method=method)
+            sv = ENGINES["anchored-bbox"][method](pts)
             assert_close(sv.values, o.values, rel=1e-9)
         for pts in tie_heavy_sets(rng):
             o = shapley_by_subsets("anchored-bbox-area", pts)
-            sv = shapley_anchored_bbox(pts, method=method)
+            sv = ENGINES["anchored-bbox"][method](pts)
             assert_close(sv.values, o.values, rel=1e-9)
 
     def test_mixed_quadrants_match_oracle(self, rng):
@@ -227,7 +251,7 @@ class TestAnchoredBBox:
         for inc in (True, False):
             ch = make_chain(rng, 400, inc)
             c = shapley_anchored_bbox(ch)
-            g = shapley_anchored_bbox(ch, method="general")
+            g = ENGINES["anchored-bbox"]["general"](ch)
             q = shapley_anchored_bbox_quadratic(ch)
             assert_close(c.values, q.values, rel=1e-9)
             assert_close(g.values, q.values, rel=1e-9)
@@ -254,11 +278,11 @@ class TestBBox:
         for n in (2, 3, 4, 5, 6, 7, 8):
             pts = rng.uniform(-5, 5, (n, 2))
             o = shapley_by_permutations("bbox-area", pts)
-            sv = shapley_bbox(pts, method=method)
+            sv = ENGINES["bbox"][method](pts)
             assert_close(sv.values, o.values, rel=1e-9)
         for pts in tie_heavy_sets(rng):
             o = shapley_by_subsets("bbox-area", pts)
-            sv = shapley_bbox(pts, method=method)
+            sv = ENGINES["bbox"][method](pts)
             assert_close(sv.values, o.values, rel=1e-9)
 
     def test_tie_matches_oracle(self):
@@ -289,14 +313,11 @@ class TestGeneralPosition:
 
     def test_shared_x_coordinate(self):
         pts = [(1, 2), (1, 3), (2, 5)]
-        for game, solver in (
-            ("anchored-rects", shapley_anchored_rects),
-            ("anchored-bbox-area", shapley_anchored_bbox),
-            ("bbox-area", shapley_bbox),
-        ):
+        for game, solvers in zip(("anchored-rects", "anchored-bbox-area", "bbox-area"),
+                                 ENGINES.values()):
             o = shapley_by_permutations(game, pts)
             for method in ("fast", "quadratic"):
-                assert_close(solver(pts, method=method).values, o.values, rel=1e-9)
+                assert_close(solvers[method](pts).values, o.values, rel=1e-9)
 
     @pytest.mark.parametrize("solver", [shapley_anchored_rects, shapley_anchored_bbox, shapley_bbox])
     def test_repeated_points_get_equal_values(self, rng, solver):
@@ -308,13 +329,6 @@ class TestGeneralPosition:
         assert_close(values, values[first[group.ravel()]], rel=0.0, abs_floor=tol)
 
 
-SOLVERS = {
-    "anchored-rects": shapley_anchored_rects,
-    "anchored-bbox": shapley_anchored_bbox,
-    "bbox": shapley_bbox,
-}
-
-
 class TestMetamorphic:
     """Exact effects of reflections, the x-y swap, scaling, translation
     (bbox only) and reordering the players, each to 1e-9 of max |value|.
@@ -324,7 +338,7 @@ class TestMetamorphic:
     @pytest.mark.parametrize("method", ["fast", "quadratic"])
     @pytest.mark.parametrize("shape", ["plane-9", "plane-200", "chain", "grid-40"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("game", list(SOLVERS))
+    @pytest.mark.parametrize("game", list(ENGINES))
     def test_transforms(self, game, seed, shape, method):
         rng = np.random.default_rng(seed)
         if shape == "chain":
@@ -335,7 +349,7 @@ class TestMetamorphic:
             pts = rng.uniform(-5.0, 5.0, (int(shape[6:]), 2))
 
         def values(p):
-            return SOLVERS[game](p, method=method).values
+            return ENGINES[game][method](p).values
 
         base = values(pts)
         tol = 1e-9 * np.max(np.abs(base))
@@ -415,10 +429,7 @@ class TestChainBoundaries:
     @pytest.mark.parametrize("game", ["anchored-rects", "anchored-bbox"])
     def test_decreasing_chains_match_quadratic(self, monkeypatch, game):
         rng = np.random.default_rng(6)
-        fast, quadratic = {
-            "anchored-rects": (shapley_anchored_rects, shapley_anchored_rects_quadratic),
-            "anchored-bbox": (shapley_anchored_bbox, shapley_anchored_bbox_quadratic),
-        }[game]
+        fast, quadratic = ENGINES[game]["fast"], ENGINES[game]["quadratic"]
         for n in chain_sizes():
             ch = make_chain(rng, n, inc=False)
             q = quadratic(ch).values
@@ -447,10 +458,7 @@ class TestChainBoundaries:
             (np.cumsum(np.geomspace(1e6, 1e-6, n)), growing),
             (np.arange(1.0, n + 1.0), growing),
         ]
-        fast, quadratic = {
-            "anchored-rects": (shapley_anchored_rects, shapley_anchored_rects_quadratic),
-            "anchored-bbox": (shapley_anchored_bbox, shapley_anchored_bbox_quadratic),
-        }[game]
+        fast, quadratic = ENGINES[game]["fast"], ENGINES[game]["quadratic"]
         for x, y in profiles:
             ch = np.column_stack([x, y if inc else y[::-1]])
             assert_close(fast(ch).values, quadratic(ch).values, rel=1e-9, abs_floor=0.0)
@@ -483,16 +491,13 @@ POOL_CASES = [
 class TestBandPools:
     @pytest.mark.parametrize("game, budget, shape, direct", POOL_CASES)
     def test_pool_budget_does_not_change_values(self, rng, monkeypatch, game, budget, shape, direct):
-        fast, quadratic = {
-            "anchored-rects": (shapley_anchored_rects, shapley_anchored_rects_quadratic),
-            "anchored-bbox": (shapley_anchored_bbox, shapley_anchored_bbox_quadratic),
-        }[game]
+        general, quadratic = ENGINES[game]["general"], ENGINES[game]["quadratic"]
         pts = random_points(rng, 700) if shape == "uniform" else band_staircase(rng, 700)
         if direct:
             monkeypatch.setattr(axis, "_batched_consecutive_eval", direct_batched_eval)
-        pooled = fast(pts, method="general").values
+        pooled = general(pts).values
         monkeypatch.setattr(axis, "_POOL", budget)
-        small = fast(pts, method="general").values
+        small = general(pts).values
         assert_close(small, pooled, rel=1e-12, abs_floor=0.0)
         q = quadratic(pts).values
         assert_close(pooled, q, rel=1e-9, abs_floor=1e-13)

@@ -977,8 +977,12 @@ class TestVerify:
             (["--nmin", "0"], "--nmin must be at least 1, got 0"),
             (["--nmin", "5", "--nmax", "3"], "--nmax must be at least --nmin=5, got 3"),
             (["--instances", "0"], "--instances must be at least 1, got 0"),
+            (["--tolerance", "nan"], "--tolerance must be a finite number >= 0, got nan"),
+            (["--tolerance", "-1"], "--tolerance must be a finite number >= 0, got -1.0"),
+            (["--tolerance", "inf"], "--tolerance must be a finite number >= 0, got inf"),
         ],
-        ids=["nmin-0", "nmax-below-nmin", "instances-0"],
+        ids=["nmin-0", "nmax-below-nmin", "instances-0", "tolerance-nan", "tolerance-negative",
+             "tolerance-inf"],
     )
     def test_empty_run_rejected(self, capsys, monkeypatch, args, message):
         def no_work(*args, **kwargs):

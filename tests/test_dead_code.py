@@ -1,12 +1,12 @@
 """Every top-level def and class in src/geoshapley has a use in src/
 besides the package's export table: code that only tests reach belongs in
-tests/.  Every import is used.  And the game table is the only list of
-the games in src/."""
+tests/.  Every import is used.  The game table is the only list of the
+games in src/, and each of its columns is read."""
 
 import ast
 import os
 
-from geoshapley.games import GAME_KINDS
+from geoshapley.games import GAME_KINDS, Game
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "geoshapley")
 
@@ -14,7 +14,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 ALLOWED = {"enumerate_bases"}
 
 
-# The game table and eval_characteristic; the oracle's reference formulas.
+# The game table and eval_characteristic; the oracle, whose table builder
+# picks a family of coalition tables by game.
 LISTS_GAMES = {"games.py", "oracle.py"}
 
 
@@ -86,6 +87,21 @@ def test_games_listed_only_in_the_table():
             if len(names) >= 2:
                 lists.append(f"{module}:{node.lineno} {names}")
     assert not lists, "lists of games outside the game table: " + "; ".join(lists)
+
+
+def test_every_game_column_is_read():
+    """Each field of games.Game is read in src/, as an attribute or as a
+    string (dispatch reads the solver columns through getattr): a column
+    that nobody reads is a knob that does nothing."""
+    read = set()
+    for _, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [field for field in Game._fields if field not in read]
+    assert not unread, "game table columns that nothing reads: " + ", ".join(unread)
 
 
 def test_convolutions_only_in_algebra():

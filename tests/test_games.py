@@ -15,7 +15,7 @@ from geoshapley.games import (
     shapley_bbox_perimeter,
     shapley_interval_length,
 )
-from geoshapley.oracle import shapley_by_permutations
+from geoshapley.oracle import coalition_table, shapley_by_permutations
 
 from conftest import assert_close, random_plane_points
 
@@ -55,6 +55,19 @@ class TestEvaluators:
     def test_airport_requires_positive(self):
         with pytest.raises(DomainError):
             eval_characteristic("airport", [(0.0, 0.0)])
+
+    def test_airport_precondition_has_one_message(self):
+        pts = [(2.0, 1.0), (0.0, 3.0)]
+        messages = set()
+        for call in (
+            lambda: shapley_airport([2.0, 0.0]),
+            lambda: eval_characteristic("airport", pts),
+            lambda: coalition_table("airport", pts),
+        ):
+            with pytest.raises(DomainError) as err:
+                call()
+            messages.add(str(err.value))
+        assert messages == {"airport coordinates must be strictly positive"}
 
     def test_unknown_game(self):
         with pytest.raises(DomainError):
@@ -238,8 +251,6 @@ def _bbox_reference(pts, airport):
     ``airport(coords, order)``, each coordinate argsorted once, in
     shapley_bbox's order of operations."""
     n = pts.shape[0]
-    if n == 1:
-        return np.zeros(1)
     x, y = pts[:, 0], pts[:, 1]
     xlo, xhi = float(x.min()), float(x.max())
     ylo, yhi = float(y.min()), float(y.max())
@@ -249,7 +260,7 @@ def _bbox_reference(pts, airport):
     for cx, sx in ((xlo, 1.0), (xhi, -1.0)):
         for cy, sy in ((ylo, 1.0), (yhi, -1.0)):
             sub = np.column_stack([sx * (x - cx), sy * (y - cy)])
-            values += axis._solve_grid(sub, axis._ABB_ENGINES, "fast")
+            values += axis._solve_grid(sub, axis._abb_fast)
     ox = np.argsort(x)
     oy = np.argsort(y)
     values -= H * airport(xhi - x, ox[::-1])

@@ -7,7 +7,7 @@ import pytest
 
 from geoshapley import oracle
 from geoshapley.errors import DomainError, SizeLimitError
-from geoshapley.games import GAME_KINDS
+from geoshapley.games import GAME_KINDS, GAMES
 from geoshapley.oracle import (
     coalition_table,
     shapley_by_permutations,
@@ -220,17 +220,10 @@ class TestOracleMemory:
         assert self._peak(shapley_by_subsets, "bbox-area", pts, table=table) < 8e6
 
 
-# Games whose batched table repeats the per-subset float expression on the
-# exact per-coordinate extents; the others sum or compare in another order.
-_BIT_IDENTICAL = (
-    "bbox-area",
-    "anchored-bbox-area",
-    "airport",
-    "interval-length",
-    "area-band",
-    "bbox-perimeter",
-    "anchored-bbox-perimeter",
-)
+# Games whose batched table applies the game table's extent formula to the
+# exact per-coordinate extents, as eval_characteristic does per subset; the
+# others sum or compare in another order.
+_BIT_IDENTICAL = tuple(g for g in GAME_KINDS if GAMES[g].extent is not None)
 
 # Every prefix of each set is checked, so each also covers its smaller sizes.
 _DEGENERATE = {

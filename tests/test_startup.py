@@ -147,6 +147,20 @@ class TestPublicApi:
         )
         _modules_after(code)
 
+    def test_star_import_binds_every_name(self):
+        code = (
+            "import sys\n"
+            "import geoshapley\n"
+            f"assert sys.modules.keys().isdisjoint({ENGINES!r})\n"
+            "ns = {}\n"
+            "exec('from geoshapley import *', ns)\n"
+            f"public = {PUBLIC!r}\n"
+            "missing = [n for names in public.values() for n in names if n not in ns]\n"
+            "assert not missing, missing\n"
+            "assert 'importlib' not in ns\n"
+        )
+        _modules_after(code)
+
     @pytest.mark.parametrize("module", sorted(PUBLIC))
     def test_names_resolve(self, module):
         mod = importlib.import_module(f"geoshapley.{module}")
