@@ -184,12 +184,15 @@ def eval_characteristic(game, q_points, full_points=None):
     q = geometry.as_points(q_points)
     extent = GAMES[game].extent
     if extent is not None:
-        if game == "airport":
-            check_airport(q[:, 0])
-        full = q if full_points is None else geometry.as_points(full_points)
-        band = full[:, 1].max() - full[:, 1].min()
         x, y = q[:, 0], q[:, 1]
-        return float(extent(x.min(), x.max(), y.min(), y.max(), band))
+        if game == "airport":
+            check_airport(x)
+        ly, hy = y.min(), y.max()
+        band = hy - ly
+        if full_points is not None:
+            full_y = geometry.as_points(full_points)[:, 1]
+            band = full_y.max() - full_y.min()
+        return float(extent(x.min(), x.max(), ly, hy, band))
     if game == "hull-area":
         return geometry.hull_area(geometry.convex_hull(q))
     if game == "hull-perimeter":
@@ -302,6 +305,8 @@ def shapley_area_band(points):
     height = float(pts[:, 1].max() - pts[:, 1].min())
     values = _airport_family(pts[:, 0], "interval", np.empty(n), np.empty(n))
     np.multiply(height, values, out=values)
+    # The total is the table's formula, as for every engine; it takes the
+    # band from pts again rather than restate v(N) here.
     return ShapleyVector(values, eval_characteristic("area-band", pts), "area-band")
 
 

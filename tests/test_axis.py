@@ -263,6 +263,11 @@ class TestAnchoredBBox:
 
 
 class TestBBox:
+    def test_single_point(self):
+        sv = shapley_bbox([(2, 3)])
+        assert sv.values.tolist() == [0.0]
+        assert sv.game_total == 0.0
+
     def test_two_point_symmetry(self):
         sv = shapley_bbox([(0, 0), (1, 1)])
         assert_close(sv.values, [0.5, 0.5])

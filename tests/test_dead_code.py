@@ -89,17 +89,51 @@ def test_games_listed_only_in_the_table():
     assert not lists, "lists of games outside the game table: " + "; ".join(lists)
 
 
+def _strings(node):
+    return {n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def _is_row(node, rows):
+    """GAMES[...] (or games.GAMES[...]), or a name assigned one."""
+    if isinstance(node, ast.Subscript):
+        table = node.value
+        return getattr(table, "id", None) == "GAMES" or getattr(table, "attr", None) == "GAMES"
+    return isinstance(node, ast.Name) and node.id in rows
+
+
 def test_every_game_column_is_read():
-    """Each field of games.Game is read in src/, as an attribute or as a
-    string (dispatch reads the solver columns through getattr): a column
-    that nobody reads is a knob that does nothing."""
+    """Each field of games.Game is read from a row of games.GAMES in src/:
+    as row.field, where row is GAMES[...] or a name assigned it, or as
+    getattr(row, name) with the field a string constant in name or in what
+    a loop over name iterates (dispatch picks the solver columns so).  A
+    column that nobody reads is a knob that does nothing."""
     read = set()
     for _, tree in _modules():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        nodes = list(ast.walk(tree))
+        rows = {
+            t.id
+            for node in nodes
+            if isinstance(node, ast.Assign) and _is_row(node.value, ())
+            for t in node.targets
+            if isinstance(t, ast.Name)
+        }
+        loops = {}  # loop variable -> the strings its loop iterates
+        for node in nodes:
+            if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
+                loops.setdefault(node.target.id, set()).update(_strings(node.iter))
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and _is_row(node.value, rows):
                 read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and _is_row(node.args[0], rows)
+            ):
+                name = node.args[1]
+                read |= _strings(name)
+                for n in ast.walk(name):
+                    if isinstance(n, ast.Name):
+                        read |= loops.get(n.id, set())
     unread = [field for field in Game._fields if field not in read]
     assert not unread, "game table columns that nothing reads: " + ", ".join(unread)
 

@@ -251,6 +251,8 @@ def _bbox_reference(pts, airport):
     ``airport(coords, order)``, each coordinate argsorted once, in
     shapley_bbox's order of operations."""
     n = pts.shape[0]
+    if n == 1:
+        return np.zeros(1)
     x, y = pts[:, 0], pts[:, 1]
     xlo, xhi = float(x.min()), float(x.max())
     ylo, yhi = float(y.min()), float(y.max())
