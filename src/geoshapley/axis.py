@@ -175,7 +175,7 @@ def _batched_consecutive_eval(task, offset, weight, n_t, l0, dmin):
 
     mn = n_t - dmin
     if np.any(l0 + dmin < 1):
-        raise DomainError("slab series would hit a nonpositive denominator")
+        raise ConsistencyError("slab series would hit a nonpositive denominator")
     P = np.maximum(8, np.left_shift(1, np.frexp(mn)[1].astype(np.int64)))  # least 2^k > mn
     order = np.argsort(P, kind="stable")
     slot = np.empty_like(P)

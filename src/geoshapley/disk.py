@@ -243,8 +243,6 @@ def shapley_disk(points, measure="area", minus_mode="pencil"):
     n = pts.shape[0]
     game = "disk-area" if measure == "area" else "disk-perimeter"
     total = games.eval_characteristic(game, pts)
-    if n == 1:
-        return ShapleyVector(np.zeros(1), total, game)
 
     def meas_of(radii):
         r = np.asarray(radii, dtype=float)

@@ -146,24 +146,29 @@ def rho_prime(size, levels):
     return math.factorial(size - 1) / _rising(size, lv)
 
 
-def _anchored_union_area(pts):
-    """Area of the union of origin-anchored rectangles (staircase sweep
-    per quadrant after coordinate compression by reflection)."""
-    total = 0.0
+def _anchored_union_area(pts, member):
+    """Per row of ``member``, a boolean (k, n) matrix with one coalition per
+    row, the area of the union of the rectangles spanned by the origin and
+    the coalition's points.
+
+    Per open quadrant the points are sorted stably by |x|: the union's
+    height over each |x| gap is the largest |y| among the members at or
+    after it.  Each row is summed by np.sum over its contiguous gaps, so a
+    coalition's value does not depend on the rows beside it.
+    """
+    total = np.zeros(member.shape[0])
     ax = np.abs(pts)
-    sx = np.sign(pts[:, 0])
-    sy = np.sign(pts[:, 1])
+    by_x = np.argsort(ax[:, 0], kind="stable")
+    sx, sy = np.sign(pts[by_x, 0]), np.sign(pts[by_x, 1])
     for qx, qy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
-        sel = (sx == qx) & (sy == qy)
-        if not np.any(sel):
-            continue
-        q = ax[sel]
-        order = np.argsort(q[:, 0], kind="stable")
-        xs = q[order, 0]
-        ys = q[order, 1]
-        suffix_max = np.maximum.accumulate(ys[::-1])[::-1]
-        widths = np.diff(np.concatenate(([0.0], xs)))
-        total += float(np.dot(widths, suffix_max))
+        order = by_x[(sx == qx) & (sy == qy)]
+        if order.size:
+            xs = ax[order, 0]
+            widths = xs - np.concatenate(((0.0,), xs[:-1]))
+            # np.take keeps the rows contiguous, where member[:, order] would not
+            reach = np.where(np.take(member, order, axis=1), ax[order, 1], 0.0)[:, ::-1]
+            np.maximum.accumulate(reach, axis=1, out=reach)
+            total += (reach[:, ::-1] * widths).sum(axis=1)
     return total
 
 
@@ -198,7 +203,7 @@ def eval_characteristic(game, q_points, full_points=None):
     if game == "hull-perimeter":
         return geometry.hull_perimeter(geometry.convex_hull(q))
     if game == "anchored-rects":
-        return _anchored_union_area(q)
+        return float(_anchored_union_area(q, np.ones((1, q.shape[0]), dtype=bool))[0])
     disk, _ = geometry.min_enclosing_disk(q)
     return disk.area if game == "disk-area" else disk.perimeter
 

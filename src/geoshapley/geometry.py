@@ -101,14 +101,16 @@ def hull_area(vertices):
 
     The shoelace runs on the vectors from the first vertex to the others,
     a fan of triangles, so its products scale with the hull and not with
-    its distance from the origin.
+    its distance from the origin.  The fan's terms all have one sign on a
+    convex cycle, so their sum cancels nothing, and np.sum adds them the
+    same way whatever the BLAS thread count.
     """
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[0] < 3:
         return 0.0
     w = v[1:] - v[0]
     x, y = w[:, 0], w[:, 1]
-    return 0.5 * abs(float(np.dot(x[:-1], y[1:]) - np.dot(y[:-1], x[1:])))
+    return 0.5 * abs(float(np.sum(x[:-1] * y[1:] - y[:-1] * x[1:])))
 
 
 def hull_perimeter(vertices):

@@ -17,7 +17,9 @@ and calls no engine code:
   the shoelace terms (area) or the lengths (perimeter) of the edges;
 - disk games: v is the measure of the largest basis disk (a pair, or a
   non-obtuse triple) with B in S and S inside the disk, which is MED(S);
-- anchored-rects: per quadrant, a staircase over the members sorted by |x|.
+- anchored-rects: the game table's staircase (games._anchored_union_area),
+  one row of membership bits per mask, so the full mask's value is
+  eval_characteristic's bit for bit.
 
 A hull edge or disk basis is one row (need, cover): it holds on exactly the
 coalitions need | s, s any subset of the points outside cover, and its term
@@ -25,11 +27,11 @@ is scattered into those masks alone (interval scatter), so the work is the
 number of (coalition, row) hits rather than rows times 2^n.
 
 The permutation oracle walks the orders of itertools.permutations through
-a cached step table of every order of 8 players, with the player and the
-coalitions before and after each step as uint8; its sums are those of a
-loop over the orders, one head's block of orders at a time.  The subset
-formula runs over blocks of 2^16 masks, and its sums are those of one
-np.sum over all masks.
+a cached step table of every order of its last m = min(n, 8) players, with
+the player and the coalitions before and after each step as uint8; its sums
+are those of a loop over the orders, one head's block of orders at a time.
+The subset formula runs over blocks of 2^16 masks, and its sums are those
+of one np.sum over all masks.
 """
 
 from __future__ import annotations
@@ -41,14 +43,15 @@ import math
 import numpy as np
 
 from .errors import SizeLimitError
-from .games import GAMES, ShapleyVector, check_airport, check_game
+from .games import GAMES, ShapleyVector, _anchored_union_area, check_airport, check_game
 from .geometry import as_points
 
 PERMUTATION_LIMIT = 10
 SUBSET_LIMIT = 22
 
 # Orders are walked as a head from itertools followed by every order of the
-# remaining (at most) _TAIL players, read from one cached step table.
+# remaining (at most) _TAIL players, read from a cached step table of as
+# many players.
 _TAIL = 8
 
 # Masks per block of the box and staircase tables, and of the subset
@@ -68,21 +71,21 @@ _INSIDE_TOL = 1e-9
 
 
 @functools.cache
-def _steps():
-    """Every order of range(_TAIL), lexicographic, as read-only uint8 arrays
+def _steps(m):
+    """Every order of range(m), lexicographic, as read-only uint8 arrays
     (players, masks): players[k] is the k-th player of each order and
     masks[k] the coalition before it, so masks[k + 1] is the one after."""
     players = np.zeros((0, 1), dtype=np.uint8)  # the one order of no players
-    for m in range(1, _TAIL + 1):
-        # the orders of range(m) with `first` first, then the others in order
-        others = np.arange(m, dtype=np.uint8)
+    for j in range(1, m + 1):
+        # the orders of range(j) with `first` first, then the others in order
+        others = np.arange(j, dtype=np.uint8)
         firsts = np.zeros((1, players.shape[1]), dtype=np.uint8)
         players = np.concatenate(
-            [np.vstack((firsts + first, np.delete(others, first)[players])) for first in range(m)],
+            [np.vstack((firsts + first, np.delete(others, first)[players])) for first in range(j)],
             axis=1,
         )
-    masks = np.zeros((_TAIL + 1, players.shape[1]), dtype=np.uint8)
-    for k in range(_TAIL):
+    masks = np.zeros((m + 1, players.shape[1]), dtype=np.uint8)
+    for k in range(m):
         masks[k + 1] = masks[k] | (np.uint8(1) << players[k])
     players.flags.writeable = masks.flags.writeable = False
     return players, masks
@@ -226,39 +229,16 @@ def _disk_bases(game, pts):
     return cover, need, value
 
 
-def _staircase_block(stairs, start, size):
-    """Union area of origin-anchored rectangles over masks start..start+size-1.
-
-    ``stairs`` holds, per open quadrant, the point indices sorted by |x|,
-    their |y| and the |x| gaps from 0: the union's height over a gap is the
-    largest |y| among the members at or after it.
-    """
+def _anchored_block(pts, start, size):
+    """v over masks start..start+size-1 from the game table's staircase."""
     masks = np.arange(start, start + size, dtype=np.int64)
-    out = np.zeros(size)
-    for order, heights, widths in stairs:
-        member = (masks[:, None] >> order) & 1 == 1
-        reach = np.where(member, heights, 0.0)[:, ::-1]
-        np.maximum.accumulate(reach, axis=1, out=reach)
-        out += (reach[:, ::-1] * widths).sum(axis=1)
-    return out
-
-
-def _anchored_stairs(pts):
-    ax = np.abs(pts)
-    stairs = []
-    for qx, qy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
-        sel = np.nonzero((np.sign(pts[:, 0]) == qx) & (np.sign(pts[:, 1]) == qy))[0]
-        if sel.size:
-            order = sel[np.argsort(ax[sel, 0], kind="stable")]
-            widths = np.diff(ax[order, 0], prepend=0.0)
-            stairs.append((order, ax[order, 1], widths))
-    return stairs
+    return _anchored_union_area(pts, (masks[:, None] >> np.arange(pts.shape[0])) & 1 == 1)
 
 
 def _block_values(game, pts):
     """A function (start, size) -> v for masks start..start+size-1."""
     if game == "anchored-rects":
-        return functools.partial(_staircase_block, _anchored_stairs(pts))
+        return functools.partial(_anchored_block, pts)
     if game == "airport":
         check_airport(pts[:, 0])
     return functools.partial(_box_block, GAMES[game].extent, pts)
@@ -296,9 +276,10 @@ def shapley_by_permutations(game, points, table=None):
 
     The orders are those of itertools.permutations(range(n)), in its order:
     each head of n - m players, m = min(n, _TAIL), is followed by every
-    order of the m players left, read from the step table through a
-    256-entry table of their coalition values.  The marginals are summed
-    one position at a time over each head's m! orders.
+    order of the m players left, read from the step table of m players
+    through the 2^m coalition values of the head and a subset of them.
+    The marginals are summed one position at a time over each head's m!
+    orders.
     """
     n = _player_count(game, points)
     if n > PERMUTATION_LIMIT:
@@ -307,11 +288,9 @@ def shapley_by_permutations(game, points, table=None):
         )
     if table is None:
         table = coalition_table(game, points)
-    players, masks = _steps()
     m = min(n, _TAIL)
-    lead = _TAIL - m  # step-table players 0..lead-1 stand first in its first m! orders
+    players, masks = _steps(m)
     rows = math.factorial(m)
-    players, masks = players[lead:, :rows], masks[lead:, :rows]
     phi = np.zeros(n)
     for head in itertools.permutations(range(n), n - m):
         rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int64)
@@ -321,13 +300,11 @@ def shapley_by_permutations(game, points, table=None):
             delta = table[coalition | 1 << p] - table[coalition]
             phi[p] += np.full(rows, delta).cumsum()[-1]
             coalition |= 1 << p
-        local = _deposit(np.array([coalition]), (np.int64(1) << rest)[None, :])[0]
-        values = np.zeros(1 << _TAIL)
-        values[(1 << lead) - 1 :: 1 << lead] = table[local]
+        values = table[_deposit(np.array([coalition]), (np.int64(1) << rest)[None, :])[0]]
         before = values[masks[0].astype(np.intp)]
         for k in range(m):
             after = values[masks[k + 1].astype(np.intp)]
-            phi[rest] += np.bincount(players[k], after - before, minlength=_TAIL)[lead:]
+            phi[rest] += np.bincount(players[k], after - before, minlength=m)
             before = after
     phi /= math.factorial(n)
     return ShapleyVector(phi, float(table[-1]), game)

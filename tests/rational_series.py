@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from geoshapley import axis
-from geoshapley.errors import DomainError
+from geoshapley.errors import ConsistencyError, DomainError
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def direct_batched_eval(task, offset, weight, n_t, l0, dmin):
     task's grouped series, with the same (vals, slot) layout."""
     mn = n_t - dmin
     if np.any(l0 + dmin < 1):
-        raise DomainError("slab series would hit a nonpositive denominator")
+        raise ConsistencyError("slab series would hit a nonpositive denominator")
     slot = np.cumsum(mn + 1) - (mn + 1)
     g = np.bincount(slot[task] + offset, weights=weight, minlength=int(np.sum(mn + 1)))
     vals = np.zeros(g.size)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geoshapley.algebra import convolve
-from geoshapley.errors import DomainError
+from geoshapley.errors import ConsistencyError, DomainError
 
 from conftest import assert_close
 from rational_series import RationalStepSeries, direct_rational_eval, engine_multipoint_eval
@@ -79,8 +79,9 @@ class TestMultipointEval:
         assert np.max(np.abs(fast[probe + 1] - direct) / np.abs(direct)) <= 1e-9
 
     def test_precondition_enforced(self):
+        # every caller builds l0 + dmin >= 1 from counts, so only a bug trips it
         series = RationalStepSeries([1.0], 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConsistencyError):
             engine_multipoint_eval(series, -1, 3)
 
     def test_direct_rejects_zero_denominator(self):

@@ -11,7 +11,7 @@ from geoshapley.axis import (
     shapley_bbox,
     shapley_bbox_quadratic,
 )
-from geoshapley.errors import DomainError
+from geoshapley.errors import ConsistencyError
 from geoshapley.games import shapley_airport
 from geoshapley.oracle import shapley_by_permutations, shapley_by_subsets
 
@@ -419,7 +419,7 @@ class TestBatchedEvaluator:
         task, offset, weight, n_t, l0, dmin = random_tasks(rng, [(3, 4), (2, 5)])
         l0[1] = 5  # l0 + dmin = 0
         for evaluate in (axis._batched_consecutive_eval, direct_batched_eval):
-            with pytest.raises(DomainError):
+            with pytest.raises(ConsistencyError):
                 evaluate(task, offset, weight, n_t, l0, dmin)
 
 

@@ -1406,3 +1406,35 @@ class TestBoundedMemory:
         fixed = self.fresh_max_rss(_compute_argv(tmp_path, game, in_fmt, 4096))
         peak = self.fresh_max_rss(_compute_argv(tmp_path, game, in_fmt, n))
         assert (peak - fixed) / (n - 4096) < per_point, (peak, fixed)
+
+
+# v(N) of a 30000-gon of radius 50 about (3, -2), printed exactly.
+_HULL_PROBE = (
+    "import numpy as np; from geoshapley.games import eval_characteristic; "
+    "t = 2.0 * np.pi * np.arange(30000) / 30000; "
+    "print(repr(eval_characteristic('hull-area', np.column_stack((3.0 + 50.0 * np.cos(t), "
+    "-2.0 + 50.0 * np.sin(t))))))"
+)
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    """Fresh processes under one and two OpenBLAS threads write the same
+    bytes: a compute job whose v(N) sums 12000 staircase steps, and the
+    area of a 30000-gon.  A one-call BLAS dot product of that length is
+    split across threads, and its last bit moves with their count."""
+    pts = np.random.default_rng(7).uniform(0.1, 100.0, (12000, 2))
+    src = tmp_path / "in.csv"
+    src.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+    path = [_PACKAGE_ROOT, os.environ.get("PYTHONPATH", "")]
+    seen = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"out{threads}.json"
+        argv = ["compute", "--game", "anchored-rects", "--input", str(src), "--output", str(out),
+                "--format", "json", "--no-timing"]
+        for cmd in (["-m", "geoshapley.cli", *argv], ["-c", _HULL_PROBE]):
+            done = subprocess.run([sys.executable, *cmd], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+        seen.append((out.read_bytes(), done.stdout))
+    assert seen[0] == seen[1]

@@ -1,7 +1,8 @@
 """Every top-level def and class in src/geoshapley has a use in src/
 besides the package's export table: code that only tests reach belongs in
 tests/.  Every import is used.  The game table is the only list of the
-games in src/, and each of its columns is read."""
+games in src/, and each of its columns is read.  No sum in src/ is a one-call
+BLAS reduction."""
 
 import ast
 import os
@@ -138,19 +139,33 @@ def test_every_game_column_is_read():
     assert not unread, "game table columns that nothing reads: " + ", ".join(unread)
 
 
+def _numpy_uses(attrs, skip=()):
+    """"module:line np.attr" for each np.attr in src/, attr in attrs,
+    outside the modules named in skip."""
+    return [
+        f"{module}:{node.lineno} np.{node.attr}"
+        for module, tree in _modules()
+        if module not in skip
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in attrs
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ]
+
+
 def test_convolutions_only_in_algebra():
     """np.fft and np.convolve appear only in algebra.py, so every
     convolution goes through algebra.convolve."""
-    calls = []
-    for module, tree in _modules():
-        if module == "algebra.py":
-            continue
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in ("fft", "convolve")
-                and isinstance(node.value, ast.Name)
-                and node.value.id in ("np", "numpy")
-            ):
-                calls.append(f"{module}:{node.lineno} np.{node.attr}")
+    calls = _numpy_uses(("fft", "convolve"), skip=("algebra.py",))
     assert not calls, "convolutions outside algebra.py: " + ", ".join(calls)
+
+
+def test_no_one_sum_blas_reductions():
+    """np.dot, np.inner and np.vdot appear nowhere in src/: OpenBLAS splits
+    a long dot product across threads, so its last bit would depend on the
+    thread count.  Sums are numpy's own (np.sum, .sum, cumsum).  The disk
+    engine's matrix products (@) gave the same bits under one and two
+    threads and stay."""
+    calls = _numpy_uses(("dot", "inner", "vdot"))
+    assert not calls, "one-sum BLAS reductions in src/: " + ", ".join(calls)

@@ -138,8 +138,11 @@ class TestShapleyDisk:
             assert abs(sv.efficiency_residual) <= 1e-9 * sv.game_total
 
     def test_single_point(self):
-        sv = shapley_disk([(3, 4)], "area")
-        assert_close(sv.values, [0.0])
+        # one point has no basis, so both minus modes sum nothing
+        for measure in ("area", "perimeter"):
+            for minus_mode in ("pencil", "direct"):
+                sv = shapley_disk([(3, 4)], measure, minus_mode=minus_mode)
+                assert sv.values.tolist() == [0.0] and sv.game_total == 0.0, (measure, minus_mode)
 
     def test_bad_measure(self):
         with pytest.raises(DomainError):

@@ -7,7 +7,7 @@ import pytest
 
 from geoshapley import oracle
 from geoshapley.errors import DomainError, SizeLimitError
-from geoshapley.games import GAME_KINDS, GAMES
+from geoshapley.games import GAME_KINDS, GAMES, eval_characteristic
 from geoshapley.oracle import (
     coalition_table,
     shapley_by_permutations,
@@ -131,12 +131,11 @@ def _itertools_chunks(n):
 
 def _step_table_chunks(n):
     """The orders the permutation oracle reads from the step table, head by
-    head: the head, then the players left in the order of the table's
-    first m! orders over its last m players."""
-    players, _ = oracle._steps()
+    head: the head, then the players left in the order of the table of
+    m = min(n, 8) players."""
     m = min(n, oracle._TAIL)
-    lead = oracle._TAIL - m
-    tail = players[lead:, : math.factorial(m)].T.astype(np.int64) - lead
+    players, _ = oracle._steps(m)
+    tail = players.T.astype(np.int64)
     for head in itertools.permutations(range(n), n - m):
         rest = np.array(sorted(set(range(n)).difference(head)), dtype=np.int64)
         block = np.empty((tail.shape[0], n), dtype=np.int64)
@@ -173,16 +172,22 @@ class TestOrderChunks:
         assert count == math.factorial(n)
 
     def test_step_masks_follow_players(self):
-        players, masks = oracle._steps()
-        assert players.dtype == masks.dtype == np.uint8
-        assert not masks[0].any() and np.all(masks[-1] == 255)
-        for k in range(oracle._TAIL):
-            assert np.array_equal(masks[k + 1], masks[k] | (np.uint8(1) << players[k]))
+        for m in range(1, oracle._TAIL + 1):
+            players, masks = oracle._steps(m)
+            assert players.dtype == masks.dtype == np.uint8
+            assert players.shape == (m, math.factorial(m))
+            assert masks.shape == (m + 1, math.factorial(m))
+            assert not masks[0].any() and np.all(masks[-1] == (1 << m) - 1)
+            for k in range(m):
+                assert np.array_equal(masks[k + 1], masks[k] | (np.uint8(1) << players[k]))
 
     def test_lex_orders_read_only(self):
-        for steps in oracle._steps():
-            with pytest.raises(ValueError):
-                steps[0, 0] = 1
+        for m in range(1, oracle._TAIL + 1):
+            players, masks = oracle._steps(m)
+            assert np.array_equal(players.T, list(itertools.permutations(range(m))))
+            for steps in (players, masks):
+                with pytest.raises(ValueError):
+                    steps[0, 0] = 1
 
     @pytest.mark.parametrize(
         "n, game",
@@ -275,6 +280,18 @@ class TestBatchedTable:
                 assert str(got.value) == str(want.value)
             else:
                 _assert_matches_loop(game, pts[:n])
+
+    def test_full_mask_is_eval_characteristic(self, rng):
+        """The games whose table and v(N) share one formula give v(N) bit
+        for bit in the table's last entry."""
+        games = ("anchored-rects", *_BIT_IDENTICAL)
+        for k in range(200):
+            n = 1 + k % 14
+            pts = random_points(rng, n) if k % 2 else random_plane_points(rng, n)
+            for game in games:
+                if game == "airport" and not k % 2:
+                    continue
+                assert coalition_table(game, pts)[-1] == eval_characteristic(game, pts), (game, pts)
 
     @pytest.mark.parametrize("block", [1, 4, 64])
     def test_block_size_does_not_change_bits(self, rng, monkeypatch, block):
