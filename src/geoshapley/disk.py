@@ -6,13 +6,13 @@ counts the points strictly outside med(B).  phi_plus(p) sums the
 rho'-weighted measures of bases containing p; phi_minus(p) sums the
 rho-weighted measures of bases excluding p.
 
-Pair bases are handled directly.  Triple bases are organized per point
-pair into a pencil of circles: sweeping the circumcenter along the
-bisector of the pair orders the third points by their crossing
-parameter, which yields every triple level and every per-query
-prefix sum for that pencil in one sort.  Each triple appears in three
-pencils, hence the final division by three.  The pairs (i, j), j > i, of
-one first endpoint i are handled together, as the rows of one array pass.
+Every basis is a position of the pencil of circles through one of its
+pairs: sweeping the circumcenter along the bisector of the pair orders the
+third points by their crossing parameter t, the pair's diametral circle
+sits at t = 0, and one sort yields every level and every per-query prefix
+sum of the pencil.  A triple sits in three pencils and takes a third of its
+rho and rho' in each.  The pairs (i, j), j > i, of one first endpoint i are
+handled together, as the rows of one array pass.
 
 Degenerate input is rejected under the one rule of ``geometry`` (see
 ``DEGENERACY_TOL``): a point on the diametral circle of a pair, and a
@@ -47,25 +47,21 @@ class DiskBasis:
 
 
 class _Sweep(NamedTuple):
-    """Pair bases (i, j) and the pencils through them, for all j > i.
+    """The pencils through (i, j), for all j > i, in sweep order.
 
-    Row k belongs to the pair (i, js[k]).  ``outside`` is indexed by point;
-    the pencil fields are in sweep order: position s of row k holds the
-    third point ``order[k, s]`` and its circle through (i, js[k]).
+    Row k belongs to the pair (i, js[k]); position s holds the third point
+    ``order[k, s]`` and its circle through (i, js[k]).  Third point n is
+    the diametral circle of the pair, the pencil's circle at t = 0.
     """
 
     i: int
     js: np.ndarray  # (K,) second endpoints
-    pair_level: np.ndarray  # (K,) points outside the diametral disk
-    pair_radius: np.ndarray  # (K,)
-    outside: np.ndarray  # (K, n) outside the diametral disk
-    const_out: np.ndarray  # (K, n) on the pair's line, beyond the segment
-    order: np.ndarray  # (K, n) third point at each sweep position
-    t: np.ndarray  # (K, n) circumcenter parameter, 0 where side == 0
-    side: np.ndarray  # (K, n) +1 enters, -1 leaves, 0 never crosses
-    acute: np.ndarray  # (K, n) the triple is a basis
-    level: np.ndarray  # (K, n) triple level (meaningful where acute)
-    radius: np.ndarray  # (K, n) circumradius
+    order: np.ndarray  # (K, n + 1) third point at each sweep position
+    t: np.ndarray  # (K, n + 1) circumcenter parameter, 0 where it is not finite
+    side: np.ndarray  # (K, n + 1) +1 enters, -1 leaves, 0 the diametral circle
+    basis: np.ndarray  # (K, n + 1) the support is a basis
+    level: np.ndarray  # (K, n + 1) points outside the circle (meaningful at bases)
+    radius: np.ndarray  # (K, n + 1)
 
 
 def _sweeps(pts):
@@ -73,11 +69,12 @@ def _sweeps(pts):
 
     Sweeping the circle center along the bisector of (i, j), center =
     midpoint + t * u with u the unit normal of the segment, a third point
-    r with signed normal offset g = 2 (r - m).u crosses the boundary at
-    t = (|r - m|^2 - |seg|^2 / 4) / g, whose numerator is the power
-    (r - pts[i]).(r - pts[j]); it enters (g > 0) or leaves (g < 0)
-    the disk there.  Points on the line through the pair (g == 0) never
-    cross: outside iff beyond the segment.
+    r with signed normal offset g = 2 (r - m).u is outside the circle at t
+    iff num - t g > 0, with num the power (r - pts[i]).(r - pts[j]): it
+    enters (g > 0) or leaves (g < 0) the disk at t = num / g.  A point on
+    the line through the pair (g == 0) never crosses; it enters at
+    t = +inf if it is outside every circle (num > 0, beyond the segment)
+    and at t = -inf otherwise, as i and j do.
 
     Degeneracies raise GeneralPositionError in a fixed order: every pair
     check (diametral circle) first, then the cocircular ties of the pencils
@@ -93,13 +90,12 @@ def _sweeps(pts):
         num, g, ends, corners = _pair_rows(pts, i, js, seg)
         if pending is not None:
             continue
-        outside = (num > 0) & ~ends
         try:
             sweep = _pencils(i, js, r2, num, g, ends, corners)
         except GeneralPositionError as err:
             pending = err
             continue
-        yield _Sweep(i, js, outside.sum(axis=1), np.sqrt(r2), outside, *sweep)
+        yield _Sweep(i, js, *sweep)
     if pending is not None:
         raise pending
 
@@ -143,45 +139,56 @@ def _pencils(i, js, r2, num, g, ends, corners):
     """Sweep fields of the pencils through (i, j) for all j in js."""
     k_rows, n = num.shape
     g[ends] = 0.0
-    live = g != 0.0
-    const_out = ~live & ~ends & (num > 0)
-    t = np.divide(num, g, out=np.full(num.shape, np.inf), where=live)
-    order = np.argsort(t, axis=1, kind="stable")
-    flat = (order + n * np.arange(k_rows)[:, None]).ravel()
-
-    def sort(a):
-        return a.ravel()[flat].reshape(k_rows, n)
-
-    side = np.sign(sort(g)).astype(np.int8)
-    t = np.where(side != 0, sort(t), 0.0)
-    radius = np.sqrt(t * t + r2[:, None])
-    # Acute (i, j, r): acute at i and at j, and r outside the diametral disk.
-    acute = sort(live & corners & (num > 0))
-
-    # Parameter ties between sweep neighbours, one of them a basis triple:
-    # a gap in t at most DEGENERACY_TOL times the larger of the two radii.
-    # Ties between two obtuse triples change no level or sum and pass
-    # (near-collinear points give huge, closely spaced parameters).
-    tie = (
-        (side[:, 1:] != 0)
-        & (side[:, :-1] != 0)
-        & (acute[:, 1:] | acute[:, :-1])
-        & (np.diff(t, axis=1) <= DEGENERACY_TOL * np.maximum(radius[:, 1:], radius[:, :-1]))
-    )
+    key = np.zeros((k_rows, n + 1))  # column n: the diametral circle, t = 0
+    key[:, :n] = np.where(num > 0, np.inf, -np.inf)
+    np.divide(num, g, out=key[:, :n], where=g != 0)
+    crossing = np.zeros((k_rows, n + 1), dtype=np.int8)
+    crossing[:, :n] = np.where(g < 0, -1, 1)
+    # The bases: the diametral circle, and each acute (i, j, r), that is
+    # acute at i and at j with r outside the diametral disk.
+    is_basis = np.ones((k_rows, n + 1), dtype=bool)
+    is_basis[:, :n] = (g != 0) & corners & (num > 0)
+    # Equal parameters that pass the tie check hold no basis, so nothing of
+    # weight: their order changes no sum, and the sort need not be stable.
+    order = np.argsort(key, axis=1)
+    t, side, basis, radius, tie = _in_order(order, key, crossing, is_basis, r2)
     if np.any(tie):
-        k, s = np.argwhere(tie)[0]
+        # Name the first tie in the order (parameter, index).
+        order = np.lexsort((np.broadcast_to(np.arange(n + 1), key.shape), key))
+        k, s = np.argwhere(_in_order(order, key, crossing, is_basis, r2)[-1])[0]
         raise GeneralPositionError(
             "four points are cocircular",
             offending=[tuple(sorted((i, int(js[k]), int(order[k, s]), int(order[k, s + 1]))))],
         )
 
-    # Level at each crossing: entering points not yet entered, leaving
-    # points already left, plus the constant outsiders.
+    # Level at each position: entering points not yet entered and leaving
+    # points already left.
     leaves = side < 0
     c_in = np.cumsum(side > 0, axis=1)
     level = (c_in[:, -1:] - c_in) + (np.cumsum(leaves, axis=1) - leaves)
-    level += np.sum(const_out, axis=1)[:, None]
-    return const_out, order, t, side, acute, level, radius
+    return order, t, side, basis, level, radius
+
+
+def _in_order(order, key, side, basis, r2):
+    """t, side, basis and radius in sweep order, and the neighbour ties.
+
+    A tie is a gap in t at most DEGENERACY_TOL times the larger of the two
+    radii between two finite crossings, one of them a basis triple.  Ties
+    between two obtuse triples change no level or sum and pass
+    (near-collinear points give huge, closely spaced parameters)."""
+    rows, m = order.shape
+    flat = (order + m * np.arange(rows)[:, None]).ravel()
+
+    def sort(a):
+        return a.ravel()[flat].reshape(rows, m)
+
+    t, side, basis = sort(key), sort(side), sort(basis)
+    live = np.isfinite(t) & (side != 0)
+    t = np.where(live, t, 0.0)
+    radius = np.sqrt(t * t + r2[:, None])
+    neighbours = live[:, 1:] & live[:, :-1] & (basis[:, 1:] | basis[:, :-1])
+    near = np.diff(t, axis=1) <= DEGENERACY_TOL * np.maximum(radius[:, 1:], radius[:, :-1])
+    return t, side, basis, radius, neighbours & near
 
 
 def _bases(pts):
@@ -189,19 +196,20 @@ def _bases(pts):
     (support, centre - pts[i], radius, level): the pairs (i, j), j > i,
     then the acute triples that the pencils of those pairs report first,
     those whose third point follows j.  Triples are in (j, sweep) order."""
+    n = pts.shape[0]
     for sw in _sweeps(pts):
         i, js = sw.i, sw.js
         seg = pts[js] - pts[i]
-        k, s = np.nonzero(sw.acute & (sw.order > js[:, None]))
-        u = np.stack([-seg[k, 1], seg[k, 0]], axis=1) / np.hypot(seg[k, 0], seg[k, 1])[:, None]
-        yield i, (
-            (np.column_stack([np.full(js.size, i), js]), 0.5 * seg, sw.pair_radius, sw.pair_level),
-            (
-                np.column_stack([np.full(k.size, i), js[k], sw.order[k, s]]),
-                0.5 * seg[k] + sw.t[k, s][:, None] * u,
-                sw.radius[k, s],
-                sw.level[k, s],
-            ),
+        k, s = np.nonzero(sw.basis & (sw.order > js[:, None]))
+        support = np.column_stack([np.full(k.size, i), js[k], sw.order[k, s]])
+        triple = support[:, 2] < n
+        centre = 0.5 * seg[k]  # t = 0; u for triples only, as two equal points have none
+        kt, st = k[triple], s[triple]
+        u = np.stack([-seg[kt, 1], seg[kt, 0]], axis=1) / np.hypot(seg[kt, 0], seg[kt, 1])[:, None]
+        centre[triple] += sw.t[kt, st][:, None] * u
+        yield i, tuple(
+            (support[m, :size], centre[m], sw.radius[k, s][m], sw.level[k, s][m])
+            for m, size in ((~triple, 2), (triple, 3))
         )
 
 
@@ -244,51 +252,42 @@ def shapley_disk(points, measure="area", minus_mode="pencil"):
     game = "disk-area" if measure == "area" else "disk-perimeter"
     total = games.eval_characteristic(game, pts)
 
-    def meas_of(radii):
-        r = np.asarray(radii, dtype=float)
+    def meas_of(r):
         return math.pi * r * r if measure == "area" else 2.0 * math.pi * r
 
     if minus_mode == "direct":
         return ShapleyVector(_shapley_direct(pts, meas_of), total, game)
 
-    phi_plus = np.zeros(n)
-    phi_minus = np.zeros(n)
-    acc_plus = np.zeros(n)  # triple sums, each triple seen from three pencils
-    acc_minus = np.zeros(n)
+    # rho' and rho by level, from level + (n + 1) for a pair: a third of
+    # each for a triple, which sits in three pencils.
+    lv = np.arange(n + 1)
+    rho_plus = np.concatenate([rho_prime(3, lv) / 3.0, rho_prime(2, lv)])
+    rho_minus = np.concatenate([rho(3, lv) / 3.0, rho(2, lv)])
+    phi = np.zeros((2, n))  # phi_plus, phi_minus
     for sw in _sweeps(pts):
-        w2 = meas_of(sw.pair_radius)
-        w2_plus = w2 * rho_prime(2, sw.pair_level)
-        phi_plus[sw.i] += np.sum(w2_plus)
-        phi_plus[sw.js] += w2_plus
-        phi_minus += sw.outside.T @ (w2 * rho(2, sw.pair_level))
-
-        plus, minus = _triple_sums(sw, meas_of, n)
-        acc_plus += plus
-        acc_minus += minus
-    phi_plus += acc_plus / 3.0
-    phi_minus += acc_minus / 3.0
-    return ShapleyVector(phi_plus - phi_minus, total, game)
+        phi += _pencil_sums(sw, meas_of(sw.radius), rho_plus, rho_minus)
+    return ShapleyVector(phi[0] - phi[1], total, game)
 
 
-def _triple_sums(sw, meas_of, n):
-    """phi_plus and phi_minus of the triple bases in the pencils of a sweep."""
+def _pencil_sums(sw, w, rho_plus, rho_minus):
+    """phi_plus and phi_minus of the bases in the pencils of a sweep, given
+    the measure w of each circle."""
+    n = sw.order.shape[1] - 1
     order = sw.order.ravel()
-    w = meas_of(sw.radius)
-    w_plus = np.where(sw.acute, w * rho_prime(3, sw.level), 0.0)
-    w_minus = np.where(sw.acute, w * rho(3, sw.level), 0.0)
+    w = w * sw.basis
+    lv = sw.level + (n + 1) * (sw.order == n)
+    w_plus = w * rho_plus[lv]
+    w_minus = w * rho_minus[lv]
     s_plus = np.sum(w_plus, axis=1)
-    plus = np.bincount(order, w_plus.ravel(), minlength=n)
+    plus = np.bincount(order, w_plus.ravel(), minlength=n + 1)[:n]
     plus[sw.i] += np.sum(s_plus)
     plus[sw.js] += s_plus
     # A point that enters at position s is outside the circles before it;
     # one that leaves is outside the circles after it.
-    pref = np.zeros((sw.js.size, n + 1))
+    pref = np.zeros((sw.js.size, n + 2))
     np.cumsum(w_minus, axis=1, out=pref[:, 1:])
-    after = pref[:, -1:] - pref[:, 1:]
-    contrib = np.where(sw.side > 0, pref[:, :-1], np.where(sw.side < 0, after, 0.0))
-    minus = np.bincount(order, contrib.ravel(), minlength=n)
-    minus += sw.const_out.T @ pref[:, -1]
-    return plus, minus
+    contrib = np.where(sw.side > 0, pref[:, :-1], pref[:, -1:] - pref[:, 1:])
+    return plus, np.bincount(order, contrib.ravel(), minlength=n + 1)[:n]
 
 
 # Basis-by-point entries per block of the direct path.
@@ -302,7 +301,7 @@ def _shapley_direct(pts, meas_of):
     w * rho' to its support and -w * rho to every point whose squared
     distance to the basis's own centre exceeds its squared radius, the
     support excepted; rho and rho' are the pencil path's games.rho and
-    games.rho_prime.  The sweep's outside masks and sums are not used.
+    games.rho_prime.  The sweep's prefix sums are not used.
     Centres and points are taken relative to pts[i], as in the sweep.
     """
     n = pts.shape[0]
@@ -322,5 +321,5 @@ def _shapley_direct(pts, meas_of):
                 dy = rel[None, :, 1] - c[:, 1, None]
                 out = dx * dx + dy * dy > (radius[lo : lo + step] ** 2)[:, None]
                 out[np.arange(c.shape[0])[:, None], support[lo : lo + step]] = False
-                phi -= w_minus[lo : lo + step] @ out
+                phi -= (w_minus[lo : lo + step, None] * out).sum(axis=0)
     return phi

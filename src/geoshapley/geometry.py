@@ -90,10 +90,7 @@ def convex_hull(points):
 
     lower = half(sp)
     upper = half(sp[::-1])
-    cycle = lower[:-1] + upper[:-1]
-    if len(cycle) < 2:  # all points collinear: keep the two extremes
-        cycle = [sp[0], sp[-1]]
-    return np.array(cycle)
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def hull_area(vertices):

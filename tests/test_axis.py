@@ -11,7 +11,7 @@ from geoshapley.axis import (
     shapley_bbox,
     shapley_bbox_quadratic,
 )
-from geoshapley.errors import ConsistencyError
+from geoshapley.errors import ConsistencyError, DomainError
 from geoshapley.games import shapley_airport
 from geoshapley.oracle import shapley_by_permutations, shapley_by_subsets
 
@@ -110,6 +110,10 @@ class TestGridArrangement:
         g = GridArrangement([(3, 0), (1, 2), (2, 0)])
         assert list(ranks(g)[1]) == [1, 3, 2]
         assert g.h[1] == g.h[2] == 0 and g.h[3] == 2
+
+    def test_negative_coordinate_rejected(self):
+        with pytest.raises(DomainError):
+            GridArrangement([(-1.0, 2.0)])
 
     def test_decreasing_chain_closed_form(self, rng):
         n = 12

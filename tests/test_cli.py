@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from geoshapley import cli, games, hull, oracle, rowtext
 from geoshapley.cli import ParseError, ResultRecord, main, read_points
-from geoshapley.dispatch import algorithms_for
+from geoshapley.dispatch import algorithms_for, solver_for
+from geoshapley.errors import ConsistencyError, DomainError
 from geoshapley.games import GAME_KINDS
 
 from conftest import assert_close, on_circle
@@ -124,6 +125,25 @@ class TestCompute:
             assert code == 2
             assert out == ""
             assert err == f"error (validation): {message}\n"
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(DomainError, match="unknown algorithm 'bogus'"):
+            solver_for("hull-area", "bogus")
+
+    def test_consistency_error_exit_4(self, tmp_path, capsys, monkeypatch):
+        def broken(game, algorithm):
+            def solve(pts):
+                raise ConsistencyError("planted failure")
+
+            return solve
+
+        monkeypatch.setattr(cli, "solver_for", broken)
+        path = tmp_path / "p.csv"
+        path.write_text("1,3\n2,5\n4,2\n")
+        code, out, err = run(capsys, "compute", "--game", "hull-area", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert err == "error (internal consistency): planted failure\n"
 
     def test_json_input(self, tmp_path, capsys):
         path = tmp_path / "pts.json"
@@ -480,6 +500,8 @@ JSON_FALLBACK = [
     ("trailing-comma", '{"points": [[1, 2], [3, 4],]}'),
     ("object-element", '{"points": [[1, 2], {"x": 3}]}'),
     ("non-json-space", '{"points":\x0c[[1, 2], [3, 4]]}'),
+    ("text-after-object", '{"points": [[1, 2], [3, 4]]} x'),
+    ("unterminated-object", '{"points": [[1, 2], [3, 4]]'),
 ]
 
 
@@ -925,7 +947,8 @@ def test_non_finite_coordinates_exit_2(tmp_path, capsys, game, text):
 # are those of the batched table, whose sums run in another order; the hull
 # lines are those of its edge terms scattered in order of free points, the
 # hull-area terms taken from differences to the first point.  The disk
-# naive lines are those of the direct path summed per block of bases.
+# naive lines are those of the direct path summed per block of bases, and
+# the disk fast lines those of pencil sweeps that hold the pair bases too.
 _GOLDEN_VERIFY = """\
 hull-area fast max_discrepancy=1.420e-15 PASS
 hull-area naive max_discrepancy=1.420e-15 PASS
@@ -933,10 +956,10 @@ hull-area oracle-subset max_discrepancy=1.420e-15 PASS
 hull-perimeter fast max_discrepancy=1.393e-15 PASS
 hull-perimeter naive max_discrepancy=1.703e-15 PASS
 hull-perimeter oracle-subset max_discrepancy=1.548e-15 PASS
-disk-area fast max_discrepancy=1.330e-15 PASS
+disk-area fast max_discrepancy=1.290e-15 PASS
 disk-area naive max_discrepancy=1.344e-15 PASS
 disk-area oracle-subset max_discrepancy=1.286e-15 PASS
-disk-perimeter fast max_discrepancy=1.660e-15 PASS
+disk-perimeter fast max_discrepancy=1.838e-15 PASS
 disk-perimeter naive max_discrepancy=1.952e-15 PASS
 disk-perimeter oracle-subset max_discrepancy=1.291e-15 PASS
 anchored-rects fast max_discrepancy=5.288e-15 PASS

@@ -162,10 +162,15 @@ def test_convolutions_only_in_algebra():
 
 
 def test_no_one_sum_blas_reductions():
-    """np.dot, np.inner and np.vdot appear nowhere in src/: OpenBLAS splits
-    a long dot product across threads, so its last bit would depend on the
-    thread count.  Sums are numpy's own (np.sum, .sum, cumsum).  The disk
-    engine's matrix products (@) gave the same bits under one and two
-    threads and stay."""
-    calls = _numpy_uses(("dot", "inner", "vdot"))
+    """np.dot, np.inner, np.vdot, np.matmul and the @ operator appear
+    nowhere in src/: OpenBLAS splits a long dot product across threads, so
+    its last bit would depend on the thread count.  Sums are numpy's own
+    (np.sum, .sum, cumsum)."""
+    calls = _numpy_uses(("dot", "inner", "vdot", "matmul"))
+    calls += [
+        f"{module}:{node.lineno} @"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
     assert not calls, "one-sum BLAS reductions in src/: " + ", ".join(calls)

@@ -105,6 +105,10 @@ class TestAirport:
         sv = shapley_airport(x)
         assert np.all(np.diff(sv.values) >= -1e-12)
 
+    def test_no_player_rejected(self):
+        with pytest.raises(DomainError, match="need at least one player"):
+            shapley_airport([])
+
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             shapley_airport([1.0, -2.0])

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoshapley.errors import DomainError
 from geoshapley.geometry import (
     DEGENERACY_TOL,
+    as_points,
     convex_hull,
     hull_area,
     hull_perimeter,
@@ -14,6 +16,16 @@ from geoshapley.geometry import (
 )
 
 from conftest import assert_close, random_plane_points
+
+
+class TestAsPoints:
+    def test_flat_pair_is_one_point(self):
+        assert as_points((2.5, -1.0)).tolist() == [[2.5, -1.0]]
+
+    @pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros((0, 2)), []])
+    def test_bad_shapes_rejected(self, points):
+        with pytest.raises(DomainError):
+            as_points(points)
 
 
 class TestConvexHull:

@@ -180,6 +180,11 @@ class TestHullPerimeter:
         sv = shapley_hull_perimeter(pts)
         assert abs(sv.efficiency_residual) <= 1e-9 * sv.game_total
 
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_single_point(self, naive):
+        sv = shapley_hull_perimeter([(3, 4)], naive=naive)
+        assert sv.values.tolist() == [0.0] and sv.game_total == 0.0
+
 
 class TestGeneralPosition:
     @pytest.mark.parametrize("solver", [shapley_hull_area, shapley_hull_perimeter])

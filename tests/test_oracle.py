@@ -281,6 +281,11 @@ class TestBatchedTable:
             else:
                 _assert_matches_loop(game, pts[:n])
 
+    def test_size_guard(self):
+        pts = np.column_stack([np.arange(23.0), np.arange(23.0) ** 1.5])
+        with pytest.raises(SizeLimitError, match="coalition table"):
+            coalition_table("bbox-area", pts)
+
     def test_full_mask_is_eval_characteristic(self, rng):
         """The games whose table and v(N) share one formula give v(N) bit
         for bit in the table's last entry."""
